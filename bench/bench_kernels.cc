@@ -441,23 +441,68 @@ void BM_MultiplicativeIteration(benchmark::State& state) {
 BENCHMARK(BM_MultiplicativeIteration)->UseRealTime()->Arg(256)->Arg(512)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
-/// Which solver core a BM_SolverIteration* variant exercises.
-enum class SolverCore { kImplicit, kExplicit, kSparseR };
+/// Joint R at `fill_percent`% unstructured fill, symmetrised like the
+/// solver's joint R, behind the store the relation-product benches time.
+core::RelationOperator RandomRelation(std::size_t n, int fill_percent,
+                                      core::RelationOperator::Storage storage) {
+  Rng rng(23);
+  la::Matrix r(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (rng.Uniform() * 100.0 < fill_percent) {
+        r(i, j) = r(j, i) = rng.Uniform(0.1, 1.0);
+      }
+    }
+  }
+  if (storage == core::RelationOperator::Storage::kDense) {
+    return core::RelationOperator(std::move(r));
+  }
+  return core::RelationOperator(la::SparseMatrix::FromDense(r));
+}
 
-/// Shared harness for the solver-core benchmarks: a 3-type block world
-/// with a prebuilt ensemble, timed over a fixed 6-iteration
-/// FitWithEnsemble so per-fit times are directly comparable between the
-/// implicit (memory-lean), explicit-materialisation and sparse-R cores.
-/// `dropout` controls the joint R's fill — the default 0.3 matches the
-/// original pair of benchmarks; the tf-idf variant pushes it to 0.97 so
-/// the sparse core's O(nnz) iteration cost shows.
-void RunSolverIterationBench(benchmark::State& state, SolverCore solver_core,
-                             double dropout = 0.3) {
+/// K = R·G, the solver's only product with R (two per iteration), on
+/// either store at n = 1024: range(0) is c, range(1) the fill in percent.
+/// GFLOP/s counts the dense-equivalent 2·n²·c flops on both stores, so
+/// the pair's rates compare directly and the faster store at a given fill
+/// reads off as the higher rate.
+void RunRelationProductBench(benchmark::State& state,
+                             core::RelationOperator::Storage storage) {
+  const std::size_t n = 1024;
+  const auto c = static_cast<std::size_t>(state.range(0));
+  const auto fill = static_cast<int>(state.range(1));
+  const core::RelationOperator r = RandomRelation(n, fill, storage);
+  la::Matrix g = RandomMatrix(n, c, 24);
+  la::Matrix k;
+  for (auto _ : state) {
+    r.MultiplyInto(g, &k);
+    // lint:stride-ok(DoNotOptimize sink: pointer identity only, no element access)
+    benchmark::DoNotOptimize(k.data());
+  }
+  SetKernelCounters(state, 2.0 * static_cast<double>(n) * n * c);
+  state.counters["fill_percent"] = benchmark::Counter(fill);
+}
+
+void BM_RelationProductDense(benchmark::State& state) {
+  RunRelationProductBench(state, core::RelationOperator::Storage::kDense);
+}
+BENCHMARK(BM_RelationProductDense)->UseRealTime()
+    ->ArgsProduct({{30, 75}, {5, 25, 50, 100}})->Unit(benchmark::kMillisecond);
+
+void BM_RelationProductCsr(benchmark::State& state) {
+  RunRelationProductBench(state, core::RelationOperator::Storage::kCsr);
+}
+BENCHMARK(BM_RelationProductCsr)->UseRealTime()
+    ->ArgsProduct({{30, 75}, {5, 25, 50, 100}})->Unit(benchmark::kMillisecond);
+
+/// A whole 6-iteration FitWithEnsemble, init included, on a 3-type block
+/// world (range(0) objects per type, ~45% joint-R fill) with a prebuilt
+/// ensemble; `threshold` pins the joint R's store (0 = dense, 1 = CSR).
+void RunSolverFit6Bench(benchmark::State& state, double threshold) {
   const auto per_type = static_cast<std::size_t>(state.range(0));
   data::BlockWorldOptions data_opts;
   data_opts.objects_per_type = {per_type, per_type, per_type};
   data_opts.n_classes = 3;
-  data_opts.dropout = dropout;
+  data_opts.dropout = 0.3;
   data_opts.seed = 19;
   data::MultiTypeRelationalData d =
       data::GenerateBlockWorld(data_opts).value();
@@ -467,10 +512,7 @@ void RunSolverIterationBench(benchmark::State& state, SolverCore solver_core,
   opts.beta = 50.0;
   opts.max_iterations = 6;
   opts.tolerance = 0.0;  // Run all iterations.
-  opts.explicit_materialization = solver_core == SolverCore::kExplicit;
-  opts.sparse_r = solver_core == SolverCore::kSparseR
-                      ? core::SparseRMode::kAlways
-                      : core::SparseRMode::kNever;
+  opts.sparse_r_density_threshold = threshold;
   opts.ensemble.subspace.spg.max_iterations = 10;
   auto ensemble = core::BuildEnsemble(d, blocks, opts.ensemble);
   core::Rhchme solver(opts);
@@ -484,43 +526,17 @@ void RunSolverIterationBench(benchmark::State& state, SolverCore solver_core,
   state.counters["r_density"] = benchmark::Counter(d.JointRDensity());
 }
 
-void BM_SolverIterationImplicit(benchmark::State& state) {
-  RunSolverIterationBench(state, SolverCore::kImplicit);
+void BM_SolverFit6Dense(benchmark::State& state) {
+  RunSolverFit6Bench(state, /*threshold=*/0.0);
 }
-BENCHMARK(BM_SolverIterationImplicit)->UseRealTime()->Arg(64)->Arg(128)
-    ->Arg(256)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SolverFit6Dense)->UseRealTime()->Arg(64)->Arg(128)->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
-void BM_SolverIterationExplicit(benchmark::State& state) {
-  RunSolverIterationBench(state, SolverCore::kExplicit);
+void BM_SolverFit6Csr(benchmark::State& state) {
+  RunSolverFit6Bench(state, /*threshold=*/1.0);
 }
-BENCHMARK(BM_SolverIterationExplicit)->UseRealTime()->Arg(64)->Arg(128)
-    ->Arg(256)->Unit(benchmark::kMillisecond);
-
-void BM_SolverIterationSparse(benchmark::State& state) {
-  // Sparse-R core on the same data as the dense pair: the apples-to-apples
-  // comparison at the default ~45% joint-R fill (the sparse core's
-  // worst case).
-  RunSolverIterationBench(state, SolverCore::kSparseR);
-}
-BENCHMARK(BM_SolverIterationSparse)->UseRealTime()->Arg(64)->Arg(128)
-    ->Arg(256)->Unit(benchmark::kMillisecond);
-
-void BM_SolverIterationSparseTfidf(benchmark::State& state) {
-  // Sparse-R core at tf-idf-like fill (~3%, below the kAuto threshold):
-  // the iteration cost is O(nnz + n·c) here, so this variant scales with
-  // the nonzero count rather than n².
-  RunSolverIterationBench(state, SolverCore::kSparseR, /*dropout=*/0.97);
-}
-BENCHMARK(BM_SolverIterationSparseTfidf)->UseRealTime()->Arg(64)->Arg(128)
-    ->Arg(256)->Unit(benchmark::kMillisecond);
-
-void BM_SolverIterationImplicitTfidf(benchmark::State& state) {
-  // Dense-implicit reference at the same tf-idf-like fill — the pair
-  // quantifies the sparse core's win where it is meant to live.
-  RunSolverIterationBench(state, SolverCore::kImplicit, /*dropout=*/0.97);
-}
-BENCHMARK(BM_SolverIterationImplicitTfidf)->UseRealTime()->Arg(64)->Arg(128)
-    ->Arg(256)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SolverFit6Csr)->UseRealTime()->Arg(64)->Arg(128)->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_KMeans(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -13,7 +13,7 @@
 //
 //   magic "RHS1" | uint32 version | payload | uint64 FNV-1a checksum
 //
-// where the payload is fixed-width scalars (core id, options fingerprint,
+// where the payload is fixed-width scalars (options fingerprint,
 // iteration, previous objective, RNG state, diagnostics counters) followed
 // by the G and S matrices in the RHM1 payload layout and two
 // length-prefixed double vectors (er_scale, objective_trace). The
@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "core/relation_operator.h"
 #include "core/rhchme_solver.h"
 #include "la/matrix.h"
 #include "util/rng.h"
@@ -38,19 +39,9 @@
 namespace rhchme {
 namespace core {
 
-/// Which solver core wrote the snapshot. Resuming under a different core
-/// is rejected (the cores' loop states are not interchangeable: the dense
-/// cores carry Q in a workspace, the sparse-R core recomputes H/K/GᵀG).
-enum class SolverCoreId : uint32_t {
-  kDenseImplicit = 0,
-  kDenseExplicit = 1,
-  kSparseR = 2,
-};
-
 /// Mid-fit solver state, captured after iteration `iteration` completed
 /// (its objective is objective_trace.back()).
 struct SolverSnapshot {
-  SolverCoreId core_id = SolverCoreId::kDenseImplicit;
   /// Fingerprint of the trajectory-affecting options + problem shape (see
   /// OptionsFingerprint). A mismatch on load is FailedPrecondition.
   uint64_t options_fingerprint = 0;
@@ -67,15 +58,16 @@ struct SolverSnapshot {
 
 /// FNV-1a over the options that determine the fit trajectory (lambda,
 /// beta, tolerance, ridge, mu_eps, l21_zeta, init, seed, normalize_rows,
-/// use_error_matrix, assume_symmetric_r) plus the problem shape (n, c)
-/// and the solver core. Deliberately EXCLUDES max_iterations and the
-/// checkpoint options themselves: resuming a killed 7-iteration run with
+/// use_error_matrix) plus the problem shape (n, c) and the storage of the
+/// joint R (dense and CSR products round differently, so a snapshot
+/// resumes bit-identically only on the store that wrote it). Deliberately
+/// EXCLUDES max_iterations and the checkpoint options themselves: resuming a killed 7-iteration run with
 /// a larger budget is the intended use, and where a snapshot lands must
 /// not affect whether it can be loaded. The ensemble is not fingerprinted
 /// (FitWithEnsemble takes it as an argument); resuming against a
 /// different ensemble of the same shape is the caller's responsibility.
 uint64_t OptionsFingerprint(const RhchmeOptions& opts, std::size_t n,
-                            std::size_t c, SolverCoreId core_id);
+                            std::size_t c, RelationOperator::Storage storage);
 
 /// Serialises and atomically replaces `path` (write path + ".tmp", then
 /// rename). Any failure — including the io.snapshot.* injection sites —

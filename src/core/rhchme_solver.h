@@ -17,29 +17,24 @@
 // Theorem 1 (monotone descent of Eq. 15 under updates 1–3, without the
 // normalisation step) is covered by property tests.
 //
-// Memory model (docs/ARCHITECTURE.md §Memory model): three solver cores
-// share the update algebra and differ only in how much of the O(n²)
-// state they materialise.
+// Memory model (docs/ARCHITECTURE.md §Memory model): one low-rank solver
+// core over a RelationOperator (relation_operator.h), which holds the
+// symmetric joint R dense or as CSR and exposes only R·X, its row norms
+// and the E_R rebuild. With H = G·S and K = R·G every quantity the
+// updates need is n x c or c x c:
 //
-// - implicit (dense default): exactly two dense n x n matrices per fit —
-//   the joint R and one workspace that alternately holds M = R − E_R and
-//   the residual Q = R − G·S·Gᵀ. The Eq. 25–27 update makes
-//   E_R = diag(s)·Q with per-row scales s_i = 1/(beta·d_ii + 1), so only
-//   the n scales are stored and the objective terms are evaluated
-//   analytically (‖Q − E_R‖²_F = Σ(1−s_i)²‖q_i‖²,
-//   ‖E_R‖₂,₁ = Σ s_i‖q_i‖); the ensemble Laplacian and its Eq. 21 ±
-//   parts stay sparse end-to-end.
-// - sparse-R (RhchmeOptions::sparse_r, auto-enabled for tf-idf-sparse
-//   relations): the joint R stays a la::SparseMatrix and **no dense
-//   n x n matrix is allocated at all** — O(nnz + n·c) per fit. With
-//   H = G·S and K = R·G (one SpMM per iteration) every quantity the
-//   updates need is low-rank: M·G = K − diag(s)·(K − H·(GᵀG)), Mᵀ·G
-//   symmetrically via the CSC mirror, and the residual row norms follow
-//   from ‖q_i‖² = ‖r_i‖² − 2·h_i·k_iᵀ + h_i·(GᵀG)·h_iᵀ with cached
-//   sparse row norms ‖r_i‖².
-// - explicit (RhchmeOptions::explicit_materialization): the pre-refactor
-//   core that materialises dense E_R and dense Laplacian parts, kept as
-//   the equivalence/ablation reference.
+//   M·G = K − diag(s)·(K − H·(GᵀG))
+//   Mᵀ·G = K − R·(diag(s)·G) + G·(Hᵀ·diag(s)·G)         (R = Rᵀ)
+//   ‖q_i‖² = ‖r_i‖² − 2·h_i·k_iᵀ + h_i·(GᵀG)·h_iᵀ
+//
+// where M = R − E_R and E_R = diag(s)·Q with the Eq. 25–27 per-row
+// scales s_i = 1/(beta·d_ii + 1) and the residual Q = R − G·S·Gᵀ. The
+// objective terms are analytic (‖Q − E_R‖²_F = Σ(1−s_i)²‖q_i‖²,
+// ‖E_R‖₂,₁ = Σ s_i‖q_i‖), so an iteration runs two R products and
+// neither E_R nor Q is ever formed; the ensemble Laplacian and its Eq. 21
+// ± parts stay sparse end to end. A fit allocates exactly one dense
+// n x n matrix when R is stored dense (R itself) and none when R is CSR;
+// RhchmeOptions::sparse_r_density_threshold picks the store.
 
 #ifndef RHCHME_CORE_RHCHME_SOLVER_H_
 #define RHCHME_CORE_RHCHME_SOLVER_H_
@@ -51,6 +46,7 @@
 #include <vector>
 
 #include "core/ensemble.h"
+#include "core/relation_operator.h"
 #include "data/multitype_data.h"
 #include "factorization/hocc_common.h"
 #include "la/sparse.h"
@@ -58,22 +54,6 @@
 
 namespace rhchme {
 namespace core {
-
-/// Joint-R representation policy: whether the fit runs the sparse-R
-/// solver core (R kept as la::SparseMatrix end-to-end, zero dense n x n
-/// allocations) or one of the dense-R cores.
-enum class SparseRMode {
-  /// Pick per dataset: sparse-R when the joint R's density is at most
-  /// RhchmeOptions::sparse_r_density_threshold, dense otherwise. The
-  /// default — tf-idf-like corpora get the O(nnz + n·c) path without any
-  /// caller opt-in, dense block worlds keep the dense kernels that beat
-  /// SpMM at high fill.
-  kAuto,
-  /// Always run the sparse-R core (equivalence tests, memory ceilings).
-  kAlways,
-  /// Never — keep the dense implicit (or explicit) core.
-  kNever,
-};
 
 struct RhchmeOptions {
   /// Manifold regularisation strength lambda. The paper tunes on
@@ -105,29 +85,14 @@ struct RhchmeOptions {
   /// the ablation bench — disabling recovers a plain graph-regularised
   /// symmetric NMTF with an ensemble Laplacian.
   bool use_error_matrix = true;
-  /// Reference core: materialise a dense E_R each iteration and dense
-  /// Laplacian ± parts up front (the pre-implicit-core behaviour). Off by
-  /// default — the implicit core is algebraically identical and keeps the
-  /// dense footprint at R plus one workspace; the explicit core exists
-  /// for equivalence tests and memory/perf ablations.
-  bool explicit_materialization = false;
-  /// Sparse-R solver core selection (see SparseRMode). Ignored — with a
-  /// Validate error on kAlways — when explicit_materialization is set:
-  /// the reference core is inherently dense.
-  SparseRMode sparse_r = SparseRMode::kAuto;
-  /// Density cutoff (nnz / n²) for SparseRMode::kAuto. 5% keeps genuinely
-  /// sparse relations (tf-idf corpora sit well below 1%) on the sparse
-  /// core while dense synthetic block worlds stay on the dense kernels.
+  /// Storage rule of the joint R: CSR when its density (nnz / n²) is at
+  /// most this, dense otherwise. Both stores run the same core and agree
+  /// to rounding; they differ in speed and memory (CSR allocates no dense
+  /// n x n matrix). 5% keeps genuinely sparse relations (tf-idf corpora
+  /// sit well below 1%) on CSR, while the dense synthetic block worlds
+  /// and the paper's presets (20–30% fill) stay dense. 0 forces dense
+  /// (for a nonzero R), 1 forces CSR.
   double sparse_r_density_threshold = 0.05;
-  /// Promise that the joint R is symmetric (true for
-  /// data::MultiTypeRelationalData, which mirrors every relation into its
-  /// transpose). The sparse-R core then reuses K = R·G for Rᵀ·G, turns
-  /// the scaled transposed product into a forward SpMM and skips the CSC
-  /// mirror — one fewer transposed SpMM per iteration and O(nnz) less
-  /// memory. Results are only meaningful when R really is symmetric; the
-  /// promise is not verified. Off by default (trace-matches the
-  /// non-assuming path to rounding only, ≤1e-8 relative).
-  bool assume_symmetric_r = false;
 
   // ---- Checkpoint/resume (fault tolerance) -------------------------------
   /// Snapshot file for periodic solver-state checkpoints. Written with
@@ -142,8 +107,8 @@ struct RhchmeOptions {
   /// continues bit-identically with the uninterrupted trajectory (the
   /// determinism contract makes this exact, not approximate). A missing
   /// file means a fresh fit; a corrupt or mismatched snapshot (different
-  /// options fingerprint, solver core, or shapes) is a clean non-OK
-  /// Status, never a silent restart.
+  /// options fingerprint, R storage, or shapes) is a clean non-OK Status,
+  /// never a silent restart.
   bool resume = false;
 
   Status Validate() const;
@@ -203,15 +168,11 @@ struct RhchmeResult {
   HeterogeneousEnsemble ensemble;    ///< The Laplacian ensemble used.
   /// Final E_R in factored form: E_R = diag(error_scale) · Q with the
   /// per-row scales s_i of Eq. 25–27 and the last residual
-  /// Q = R − G·S·Gᵀ. The implicit dense core stores Q in error_residual;
-  /// the sparse-R core stores only the sparse joint R in error_sparse_r
-  /// (Q is rebuilt from R, g and s on demand — still O(nnz + n·c) at
-  /// rest); the explicit-materialisation core stores the dense E_R
-  /// directly and leaves both empty. error_scale is empty when the
-  /// robust term is disabled.
+  /// Q = R − G·S·Gᵀ. Q is never stored: the fit's relation operator is,
+  /// and ErrorMatrix() rebuilds Q from it and the final factors on
+  /// demand. Both are empty when the robust term is disabled.
   std::vector<double> error_scale;
-  la::Matrix error_residual;
-  la::SparseMatrix error_sparse_r;
+  RelationOperator error_relation;
   /// Guard/recovery counters for this fit (all zero on a healthy run).
   FitDiagnostics diagnostics;
 
@@ -224,19 +185,17 @@ struct RhchmeResult {
   RhchmeResult& operator=(RhchmeResult&& other) noexcept;
   ~RhchmeResult() = default;
 
-  /// True when a robust E_R was learned (any representation).
+  /// True when a robust E_R was learned.
   bool HasErrorMatrix() const;
 
   /// Dense E_R, materialised on first call and cached — the solver itself
-  /// never allocates it on the default paths. Returns an empty matrix
-  /// when the robust term was disabled. Thread-safe: the lazy build is
-  /// internally synchronised (at most one thread builds, the rest reuse
-  /// the cached matrix), matching the library's "concurrent const access
-  /// is safe" contract.
+  /// never allocates it. Returns an empty matrix when the robust term was
+  /// disabled. Thread-safe: the lazy build is internally synchronised (at
+  /// most one thread builds, the rest reuse the cached matrix), matching
+  /// the library's "concurrent const access is safe" contract.
   const la::Matrix& ErrorMatrix() const;
 
  private:
-  friend class Rhchme;
   /// Guards the lazy build of error_dense_ below; the built matrix is
   /// immutable afterwards.
   mutable std::mutex error_mu_;
@@ -267,19 +226,11 @@ class Rhchme {
   const RhchmeOptions& options() const { return opts_; }
 
  private:
-  /// The dense cores (implicit workspace or explicit reference): body of
-  /// FitWithEnsemble, separated so the public entry point can convert a
-  /// std::bad_alloc from any core into a clean Status.
-  Result<RhchmeResult> FitDense(const data::MultiTypeRelationalData& data,
-                                const HeterogeneousEnsemble& ensemble,
-                                const fact::BlockStructure& blocks) const;
-
-  /// The sparse-R core: joint R as la::SparseMatrix end-to-end, all
-  /// solver quantities from the low-rank identities in the header
-  /// comment. Allocates no dense n x n matrix (la::memstats-pinned).
-  Result<RhchmeResult> FitSparseR(const data::MultiTypeRelationalData& data,
-                                  const HeterogeneousEnsemble& ensemble,
-                                  const fact::BlockStructure& blocks) const;
+  /// The solver core: body of FitWithEnsemble, separated so the public
+  /// entry point can convert a std::bad_alloc into a clean Status.
+  Result<RhchmeResult> Solve(const data::MultiTypeRelationalData& data,
+                             const HeterogeneousEnsemble& ensemble,
+                             const fact::BlockStructure& blocks) const;
 
   RhchmeOptions opts_;
   IterationCallback callback_;
@@ -304,7 +255,7 @@ double RhchmeObjective(const la::Matrix& r, const la::Matrix& g,
 /// identity ‖q_i‖² = ‖r_i‖² − 2·h_i·k_iᵀ + h_i·(GᵀG)·h_iᵀ, so the data
 /// and ℓ2,1 terms are O(nnz + n·c²). Pass an empty `error_scale` for
 /// E_R = 0 (robust term disabled). Matches the dense overloads to
-/// rounding and the sparse-R fit's objective_trace exactly in structure.
+/// rounding and a fit's objective_trace exactly in structure.
 double RhchmeObjective(const la::SparseMatrix& r, const la::Matrix& g,
                        const la::Matrix& s,
                        const std::vector<double>& error_scale,

@@ -90,8 +90,8 @@ class MultiTypeRelationalData {
   la::SparseMatrix BuildJointRSparse() const;
 
   /// Density of the joint R: nonzero entries / n², counted from the
-  /// stored blocks without building either representation. Drives the
-  /// solver's automatic sparse-R core selection.
+  /// stored blocks without building either representation. Picks the
+  /// solver's storage of R (dense or CSR, core::RelationOperator).
   double JointRDensity() const;
 
   /// Joint ground-truth labels offset per type; empty if any type lacks

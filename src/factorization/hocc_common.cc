@@ -146,8 +146,8 @@ namespace {
 /// Data-term halves of Eq. 21 from precomputed gradient products:
 /// num = A⁺ + G·B⁻ and den = A⁻ + G·B⁺ with the symmetrised halves
 /// A = ½(mg·Sᵀ + mtg·S) and B of the header comment. Shared by every
-/// overload — the dense paths form mg/mtg from M, the sparse-R core from
-/// its low-rank identities; both already hold GᵀG.
+/// overload — the dense paths form mg/mtg from M, the RHCHME solver core
+/// from its low-rank identities; both already hold GᵀG.
 void GUpdateDataTermsFromProducts(const la::Matrix& mg, const la::Matrix& mtg,
                                   const la::Matrix& s, const la::Matrix& gtg,
                                   const la::Matrix& g, la::Matrix* num,

@@ -64,10 +64,9 @@ Result<la::Matrix> SolveCentralS(const la::Matrix& g, const la::Matrix& m,
                                  SolveStats* stats = nullptr);
 
 /// Product-form Eq. 18: the same closed form from the precomputed c x c
-/// factors `gtg` = GᵀG and `gtmg` = Gᵀ·M·G. This is the seam the
-/// implicit-M solver cores plug into — the sparse-R core evaluates
-/// Gᵀ·M·G from low-rank identities without ever forming M, then hands
-/// the c x c pieces here. SolveCentralS is a thin wrapper around it.
+/// factors `gtg` = GᵀG and `gtmg` = Gᵀ·M·G. This is the seam the RHCHME
+/// solver core plugs into — it evaluates Gᵀ·M·G from low-rank identities
+/// without ever forming M, then hands the c x c pieces here. SolveCentralS is a thin wrapper around it.
 ///
 /// Numerical guard: when the base solve fails or produces a non-finite S
 /// (singular GᵀG, injected fault), the solve is retried up the ridge
@@ -107,9 +106,9 @@ void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
 
 /// Product-form Eq. 21: the same update from precomputed gradient halves
 /// `mg` = M·G and `mtg` = Mᵀ·G (both n x c) and `gtg` = GᵀG instead of M
-/// itself — the seam shared with the sparse-R solver core, which
-/// evaluates the products in O(nnz + n·c²) via the implicit
-/// M = R − diag(s)·(R − H·Gᵀ) and never materialises a dense M (and
+/// itself — the seam shared with the RHCHME solver core, which evaluates
+/// the products from two R·X products and O(n·c²) low-rank work via the
+/// implicit M = R − diag(s)·(R − H·Gᵀ) and never materialises M (and
 /// already holds GᵀG from the S solve). `g` must be the same membership
 /// every product was formed against. Laplacian handling matches the
 /// sparse overload above. Returns InvalidArgument on shape mismatch

@@ -20,8 +20,8 @@ namespace rhchme {
 namespace la {
 
 /// Global accounting of large dense allocations, used by the solver
-/// memory tests to prove the implicit-E_R core never materialises a
-/// dense n x n error matrix or Laplacian part. Off by default; when
+/// memory tests to prove the solver core never materialises a dense
+/// n x n error matrix, residual or Laplacian part. Off by default; when
 /// tracking, every Matrix construction or Resize that acquires at least
 /// `min_elements` doubles bumps a counter (relaxed atomics, thread-safe).
 /// Counted elements are logical (rows * cols) — row padding introduced by

@@ -3,7 +3,8 @@
 // The inter-type relationship matrix R and pNN affinity graphs are sparse
 // (tf-idf blocks, p edges per object). CSR keeps graph construction and
 // sparse-dense products cheap; solvers densify only when an algorithm is
-// inherently dense (e.g. the solver's joint-R residual workspace).
+// inherently dense (e.g. the RHCHME solver stores a joint R above its
+// density threshold dense).
 //
 // Transposed products (Aᵀ·B, Aᵀ·x) are the awkward case for CSR: the
 // natural loop scatters into output rows indexed by the nonzeros'
@@ -151,22 +152,13 @@ class SparseMatrix {
   /// the last bit — per call site the path is fixed).
   void MultiplyTransposedDenseInto(const Matrix& b, Matrix* c) const;
 
-  /// C = Aᵀ·diag(d)·B for dense B: the transposed product with source row
-  /// i scaled by d[i] (requires d.size() == rows(); resizes `c`). Runs the
-  /// same two code paths — CSC gather when the mirror is cached, bounded
-  /// per-chunk-accumulator scatter otherwise — under the same determinism
-  /// contract as MultiplyTransposedDenseInto. The sparse-R solver core's
-  /// Mᵀ·G gradient half needs Rᵀ·diag(s)·G without ever materialising the
-  /// row-scaled diag(s)·R.
-  void MultiplyTransposedScaledDenseInto(const std::vector<double>& d,
-                                         const Matrix& b, Matrix* c) const;
-
   /// Per-row sums (degree vector when A is an affinity matrix).
   std::vector<double> RowSums() const;
 
-  /// Per-row squared Euclidean norms: out[i] = Σ_j a_ij². The sparse-R
-  /// solver core caches these once per fit — the analytic residual row
-  /// norms ‖q_i‖² = ‖r_i‖² − 2·h_i·k_iᵀ + h_i·(GᵀG)·h_iᵀ start from them.
+  /// Per-row squared Euclidean norms: out[i] = Σ_j a_ij². The solver core
+  /// caches these once per fit on a CSR-stored R — the analytic residual
+  /// row norms ‖q_i‖² = ‖r_i‖² − 2·h_i·k_iᵀ + h_i·(GᵀG)·h_iᵀ start from
+  /// them.
   std::vector<double> RowNormsSquared() const;
 
   /// Per-column sums (in-degrees). Ascending-row accumulation per
@@ -181,10 +173,6 @@ class SparseMatrix {
   bool IsSymmetric(double tol = 1e-12) const;
 
  private:
-  /// Shared body of the transposed dense products; `row_scale` (length
-  /// rows(), may be nullptr for no scaling) multiplies source row i.
-  void TransposedDenseProductInto(const double* row_scale, const Matrix& b,
-                                  Matrix* c) const;
   std::shared_ptr<const CscMirror> ComputeCsc() const;
   /// Cached mirror if present, nullptr otherwise (does not build).
   std::shared_ptr<const CscMirror> CscIfBuilt() const;

@@ -14,11 +14,11 @@
 //   auto scores = eval::ScoreLabels(data.value().Type(0).labels,
 //                                   result.value().hocc.labels[0]);
 //
-// Solver cores: the fit picks its memory profile per dataset —
-// tf-idf-sparse relations run the sparse-R core (zero dense n x n
-// allocations, O(nnz + n·c) per iteration), dense relations the implicit
-// dense core (two n x n matrices); see core::SparseRMode and
-// docs/ARCHITECTURE.md §Memory model.
+// Solver: one low-rank core over core::RelationOperator. The joint R is
+// stored as CSR when its density is at most
+// RhchmeOptions::sparse_r_density_threshold (tf-idf corpora: zero dense
+// n x n allocations, O(nnz·c) per iteration) and dense otherwise (one
+// n x n matrix, R itself); see docs/ARCHITECTURE.md §Memory model.
 
 #ifndef RHCHME_RHCHME_RHCHME_H_
 #define RHCHME_RHCHME_RHCHME_H_

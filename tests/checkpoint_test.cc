@@ -6,7 +6,7 @@
 //      loads as a clean non-OK Status — never UB, never a garbage state;
 //   3. a fit killed after iteration k and resumed reproduces the
 //      uninterrupted trajectory bit-identically, at pool sizes 1 and 4,
-//      on every solver core.
+//      on both stores of the joint R (dense and CSR).
 
 #include "core/checkpoint.h"
 
@@ -60,7 +60,6 @@ void ExpectBitIdentical(const la::Matrix& a, const la::Matrix& b,
 
 SolverSnapshot MakeSnapshot() {
   SolverSnapshot snap;
-  snap.core_id = SolverCoreId::kSparseR;
   snap.options_fingerprint = 0x1234abcdu;
   snap.iteration = 3;
   snap.prev_objective = 41.5;
@@ -90,7 +89,6 @@ TEST(Checkpoint, RoundTripIsBitExact) {
   Result<SolverSnapshot> loaded = LoadSolverSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const SolverSnapshot& l = loaded.value();
-  EXPECT_EQ(l.core_id, snap.core_id);
   EXPECT_EQ(l.options_fingerprint, snap.options_fingerprint);
   EXPECT_EQ(l.iteration, snap.iteration);
   EXPECT_EQ(l.prev_objective, snap.prev_objective);
@@ -134,6 +132,37 @@ TEST(Checkpoint, TruncationAtEveryByteFailsCleanly) {
   fs::remove(trunc_path);
 }
 
+/// FNV-1a, the RHS1 trailer hash (core/checkpoint.cc).
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (char ch : bytes) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(Checkpoint, OlderFormatVersionIsRejected) {
+  // A version-1 snapshot (it carried a solver-core id) with an intact
+  // checksum must fail on its version field, not parse as version 2.
+  const std::string path = TempPath("rhchme_ckpt_old_version.bin");
+  ASSERT_TRUE(SaveSolverSnapshot(path, MakeSnapshot()).ok());
+  std::string bytes = ReadAll(path);
+  constexpr std::size_t kVersionOffset = 4;  // After the "RHS1" magic.
+  const uint32_t old_version = 1;
+  std::memcpy(&bytes[kVersionOffset], &old_version, sizeof(old_version));
+  std::string body = bytes.substr(0, bytes.size() - sizeof(uint64_t));
+  const uint64_t sum = Fnv1a(body);
+  body.append(reinterpret_cast<const char*>(&sum), sizeof(sum));
+  WriteAll(path, body);
+  Result<SolverSnapshot> r = LoadSolverSnapshot(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(r.status().message().find("version 1"), std::string::npos)
+      << r.status().ToString();
+  fs::remove(path);
+}
+
 TEST(Checkpoint, BitFlipFailsChecksum) {
   const std::string path = TempPath("rhchme_ckpt_flip.bin");
   ASSERT_TRUE(SaveSolverSnapshot(path, MakeSnapshot()).ok());
@@ -161,28 +190,26 @@ data::MultiTypeRelationalData SmallData(uint64_t seed = 21) {
   return data::GenerateBlockWorld(o).value();
 }
 
-struct CoreConfig {
+/// One store of the joint R, pinned through the density threshold.
+struct StorageConfig {
   const char* name;
-  SparseRMode sparse_r;
-  bool explicit_core;
+  double sparse_r_density_threshold;
 };
 
-RhchmeOptions CoreOptions(const CoreConfig& cfg) {
+RhchmeOptions StorageOptions(const StorageConfig& cfg) {
   RhchmeOptions opts;
   opts.max_iterations = 9;
   opts.lambda = 1.0;
   opts.beta = 50.0;
   opts.tolerance = 0.0;  // Never converge early: full, comparable traces.
   opts.ensemble.subspace.spg.max_iterations = 20;
-  opts.sparse_r = cfg.sparse_r;
-  opts.explicit_materialization = cfg.explicit_core;
+  opts.sparse_r_density_threshold = cfg.sparse_r_density_threshold;
   return opts;
 }
 
-const CoreConfig kCores[] = {
-    {"dense-implicit", SparseRMode::kNever, false},
-    {"dense-explicit", SparseRMode::kNever, true},
-    {"sparse-r", SparseRMode::kAlways, false},
+const StorageConfig kStorages[] = {
+    {"dense", 0.0},  // Every nonzero R is denser than 0.
+    {"csr", 1.0},    // No R is denser than 1.
 };
 
 TEST(CheckpointResume, KilledFitResumesBitIdentically) {
@@ -190,10 +217,10 @@ TEST(CheckpointResume, KilledFitResumesBitIdentically) {
   const fact::BlockStructure blocks = fact::BuildBlockStructure(d);
   for (int threads : {1, 4}) {
     ScopedNumThreads pool(threads);
-    for (const CoreConfig& cfg : kCores) {
+    for (const StorageConfig& cfg : kStorages) {
       SCOPED_TRACE(std::string(cfg.name) + " @" + std::to_string(threads) +
                    " threads");
-      RhchmeOptions opts = CoreOptions(cfg);
+      RhchmeOptions opts = StorageOptions(cfg);
       Result<HeterogeneousEnsemble> ensemble =
           BuildEnsemble(d, blocks, opts.ensemble);
       ASSERT_TRUE(ensemble.ok()) << ensemble.status().ToString();
@@ -244,8 +271,7 @@ TEST(CheckpointResume, KilledFitResumesBitIdentically) {
 TEST(CheckpointResume, MismatchedSnapshotIsRejectedNotSilentlyRestarted) {
   const data::MultiTypeRelationalData d = SmallData();
   const fact::BlockStructure blocks = fact::BuildBlockStructure(d);
-  const CoreConfig dense = kCores[0];
-  RhchmeOptions opts = CoreOptions(dense);
+  RhchmeOptions opts = StorageOptions(kStorages[0]);
   Result<HeterogeneousEnsemble> ensemble =
       BuildEnsemble(d, blocks, opts.ensemble);
   ASSERT_TRUE(ensemble.ok());
@@ -267,11 +293,12 @@ TEST(CheckpointResume, MismatchedSnapshotIsRejectedNotSilentlyRestarted) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 
-  // Different solver core, same everything else.
-  RhchmeOptions sparse = CoreOptions(kCores[2]);
-  sparse.checkpoint_path = snap;
-  sparse.resume = true;
-  Result<RhchmeResult> r2 = Rhchme(sparse).FitWithEnsemble(d, *ensemble);
+  // Different R store, same everything else: the stores round
+  // differently, so the dense snapshot cannot continue a CSR fit exactly.
+  RhchmeOptions csr = StorageOptions(kStorages[1]);
+  csr.checkpoint_path = snap;
+  csr.resume = true;
+  Result<RhchmeResult> r2 = Rhchme(csr).FitWithEnsemble(d, *ensemble);
   ASSERT_FALSE(r2.ok());
   EXPECT_EQ(r2.status().code(), StatusCode::kFailedPrecondition);
 
@@ -286,13 +313,13 @@ TEST(CheckpointResume, MismatchedSnapshotIsRejectedNotSilentlyRestarted) {
 }
 
 TEST(CheckpointResume, ValidationRejectsInconsistentOptions) {
-  RhchmeOptions o = CoreOptions(kCores[0]);
+  RhchmeOptions o = StorageOptions(kStorages[0]);
   o.checkpoint_every = 2;  // every without a path
   EXPECT_FALSE(o.Validate().ok());
-  o = CoreOptions(kCores[0]);
+  o = StorageOptions(kStorages[0]);
   o.resume = true;  // resume without a path
   EXPECT_FALSE(o.Validate().ok());
-  o = CoreOptions(kCores[0]);
+  o = StorageOptions(kStorages[0]);
   o.checkpoint_every = -1;
   EXPECT_FALSE(o.Validate().ok());
 }

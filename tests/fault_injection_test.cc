@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -19,6 +21,7 @@
 #include "data/synthetic.h"
 #include "factorization/hocc_common.h"
 #include "io/dataset_io.h"
+#include "scoped_num_threads.h"
 
 namespace rhchme {
 namespace {
@@ -33,14 +36,15 @@ data::MultiTypeRelationalData SmallData(uint64_t seed = 21) {
   return data::GenerateBlockWorld(o).value();
 }
 
-core::RhchmeOptions FastOptions(bool sparse_core) {
+core::RhchmeOptions FastOptions(bool csr_storage) {
   core::RhchmeOptions opts;
   opts.max_iterations = 12;
   opts.lambda = 1.0;
   opts.beta = 50.0;
   opts.ensemble.subspace.spg.max_iterations = 20;
-  opts.sparse_r =
-      sparse_core ? core::SparseRMode::kAlways : core::SparseRMode::kNever;
+  // Pin the joint R's store: every nonzero R is denser than 0, and no R
+  // is denser than 1.
+  opts.sparse_r_density_threshold = csr_storage ? 1.0 : 0.0;
   return opts;
 }
 
@@ -64,19 +68,29 @@ void ExpectRecoveredOrCleanFailure(const Result<core::RhchmeResult>& fit,
 
 /// Solver-seam sites are probed inside FitWithEnsemble; a shared
 /// ensemble keeps the sweep fast and keeps ensemble construction out of
-/// the armed window.
-class SolverFaultSweep : public ::testing::TestWithParam<bool> {
+/// the armed window. Parameterised over the joint R's store (dense, CSR)
+/// × pool size (1, 4).
+class SolverFaultSweep
+    : public ::testing::TestWithParam<std::tuple<bool, int>> {
  protected:
   void SetUp() override {
+    pool_ = std::make_unique<ScopedNumThreads>(std::get<1>(GetParam()));
     data_ = SmallData();
     blocks_ = fact::BuildBlockStructure(data_);
-    core::RhchmeOptions opts = FastOptions(GetParam());
+    core::RhchmeOptions opts = Options();
     Result<core::HeterogeneousEnsemble> e =
         core::BuildEnsemble(data_, blocks_, opts.ensemble);
     ASSERT_TRUE(e.ok()) << e.status().ToString();
     ensemble_ = std::move(e).value();
   }
 
+  void TearDown() override { pool_.reset(); }
+
+  static core::RhchmeOptions Options() {
+    return FastOptions(std::get<0>(GetParam()));
+  }
+
+  std::unique_ptr<ScopedNumThreads> pool_;
   data::MultiTypeRelationalData data_;
   fact::BlockStructure blocks_;
   core::HeterogeneousEnsemble ensemble_;
@@ -90,7 +104,7 @@ TEST_P(SolverFaultSweep, EverySiteRecoversOrFailsCleanly) {
     for (int fire_on_hit : {1, 3}) {
       util::ScopedFaultDisarm scoped;
       util::FaultArmCountdown(site, fire_on_hit);
-      core::Rhchme solver(FastOptions(GetParam()));
+      core::Rhchme solver(Options());
       Result<core::RhchmeResult> fit =
           solver.FitWithEnsemble(data_, ensemble_);
       const bool fired = util::FaultHitCount(site) >= fire_on_hit;
@@ -108,7 +122,7 @@ TEST_P(SolverFaultSweep, PoisonSitesRecoverWithGuardsCounted) {
   for (const char* site : kPoisonSites) {
     util::ScopedFaultDisarm scoped;
     util::FaultArmCountdown(site, 1);
-    core::Rhchme solver(FastOptions(GetParam()));
+    core::Rhchme solver(Options());
     Result<core::RhchmeResult> fit = solver.FitWithEnsemble(data_, ensemble_);
     ASSERT_TRUE(fit.ok()) << site << ": " << fit.status().ToString();
     ASSERT_GE(util::FaultHitCount(site), 1) << site << " was never probed";
@@ -124,7 +138,7 @@ TEST_P(SolverFaultSweep, CentralSolveFailureIsAbsorbedByRidgeLadder) {
   for (int fire_on_hit : {1, 2}) {
     util::ScopedFaultDisarm scoped;
     util::FaultArmCountdown(util::fault_site::kCentralSolveFail, fire_on_hit);
-    core::Rhchme solver(FastOptions(GetParam()));
+    core::Rhchme solver(Options());
     Result<core::RhchmeResult> fit = solver.FitWithEnsemble(data_, ensemble_);
     ASSERT_TRUE(fit.ok()) << fit.status().ToString();
     ASSERT_GE(util::FaultHitCount(util::fault_site::kCentralSolveFail),
@@ -140,7 +154,7 @@ TEST_P(SolverFaultSweep, AllocationFailureIsCleanStatus) {
                            util::fault_site::kAllocWorkspace}) {
     util::ScopedFaultDisarm scoped;
     util::FaultArmCountdown(site, 1);
-    core::Rhchme solver(FastOptions(GetParam()));
+    core::Rhchme solver(Options());
     Result<core::RhchmeResult> fit = solver.FitWithEnsemble(data_, ensemble_);
     ASSERT_FALSE(fit.ok()) << site;
     EXPECT_EQ(fit.status().code(), StatusCode::kInternal) << site;
@@ -153,7 +167,7 @@ TEST_P(SolverFaultSweep, SeededSoakNeverCrashes) {
   for (uint64_t seed : {7u, 99u}) {
     util::ScopedFaultDisarm scoped;
     util::FaultArmSeeded(seed, 0.05);
-    core::Rhchme solver(FastOptions(GetParam()));
+    core::Rhchme solver(Options());
     Result<core::RhchmeResult> fit = solver.FitWithEnsemble(data_, ensemble_);
     SCOPED_TRACE("soak seed " + std::to_string(seed));
     ExpectRecoveredOrCleanFailure(fit, "seeded-soak", /*fired=*/false);
@@ -162,17 +176,19 @@ TEST_P(SolverFaultSweep, SeededSoakNeverCrashes) {
 
 TEST_P(SolverFaultSweep, DisarmedRegistryIsInert) {
   util::FaultDisarm();
-  core::Rhchme solver(FastOptions(GetParam()));
+  core::Rhchme solver(Options());
   Result<core::RhchmeResult> fit = solver.FitWithEnsemble(data_, ensemble_);
   ASSERT_TRUE(fit.ok()) << fit.status().ToString();
   EXPECT_EQ(fit.value().diagnostics.RecoveryEvents(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Cores, SolverFaultSweep, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& param_info) {
-                           return param_info.param ? "SparseR"
-                                                   : "DenseImplicit";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    StorageByPool, SolverFaultSweep,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(1, 4)),
+    [](const ::testing::TestParamInfo<std::tuple<bool, int>>& param_info) {
+      return std::string(std::get<0>(param_info.param) ? "Csr" : "Dense") +
+             "Pool" + std::to_string(std::get<1>(param_info.param));
+    });
 
 TEST(IoFaults, MatrixWriteFailureIsCleanStatus) {
   util::ScopedFaultDisarm scoped;
@@ -212,7 +228,7 @@ TEST(IoFaults, SnapshotWriteFaultsLeaveFitHealthy) {
     const fs::path snap =
         fs::temp_directory_path() / "rhchme_fault_snapshot.bin";
     fs::remove(snap);
-    core::RhchmeOptions opts = FastOptions(/*sparse_core=*/false);
+    core::RhchmeOptions opts = FastOptions(/*csr_storage=*/false);
     opts.checkpoint_path = snap.string();
     opts.checkpoint_every = 1;
     util::FaultArmCountdown(site, 1);

@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "data/corruption.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
+#include "factorization/hocc_common.h"
 #include "la/gemm.h"
 #include "la/matrix.h"
 #include "scoped_num_threads.h"
@@ -29,6 +31,11 @@ data::MultiTypeRelationalData SmallData(uint64_t seed = 21) {
   o.seed = seed;
   return data::GenerateBlockWorld(o).value();
 }
+
+/// sparse_r_density_threshold values that pin the joint R's store: every
+/// nonzero R is denser than 0, and no R is denser than 1.
+constexpr double kDenseStorage = 0.0;
+constexpr double kCsrStorage = 1.0;
 
 RhchmeOptions FastOptions() {
   RhchmeOptions opts;
@@ -54,12 +61,7 @@ TEST(RhchmeOptions, Validation) {
   o.ensemble.include_knn = false;
   o.ensemble.include_subspace = false;
   EXPECT_FALSE(o.Validate().ok());
-  // The sparse-R core cannot be forced together with the dense reference
-  // core, and the auto threshold must be a density.
-  o = FastOptions();
-  o.sparse_r = SparseRMode::kAlways;
-  o.explicit_materialization = true;
-  EXPECT_FALSE(o.Validate().ok());
+  // The storage threshold must be a density.
   o = FastOptions();
   o.sparse_r_density_threshold = -0.1;
   EXPECT_FALSE(o.Validate().ok());
@@ -80,10 +82,9 @@ TEST(Rhchme, SurvivesNonFiniteCorruptedInput) {
   gen.seed = 33;
   data::MultiTypeRelationalData d = data::GenerateBlockWorld(gen).value();
 
-  for (core::SparseRMode mode :
-       {core::SparseRMode::kNever, core::SparseRMode::kAlways}) {
+  for (double threshold : {kDenseStorage, kCsrStorage}) {
     RhchmeOptions opts = FastOptions();
-    opts.sparse_r = mode;
+    opts.sparse_r_density_threshold = threshold;
     Rhchme solver(opts);
     Result<RhchmeResult> r = solver.Fit(d);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -324,274 +325,246 @@ TEST(Rhchme, RandomInitAlsoWorks) {
   EXPECT_TRUE(r.value().hocc.g.AllFinite());
 }
 
-// ---- Memory-lean solver core -----------------------------------------------
+// ---- Test-only dense reference of Algorithm 2 ------------------------------
 
-/// The implicit core (factored E_R, sparse Laplacian algebra) and the
-/// explicit-materialisation reference core run the same update algebra;
-/// their objective traces must agree to rounding (the Laplacian products
-/// and objective reductions use different summation orders, so exact
-/// equality is not expected).
-TEST(RhchmeImplicitCore, ObjectiveTraceMatchesExplicitCore) {
-  data::MultiTypeRelationalData d = SmallData();
-  RhchmeOptions opts = FastOptions();
-  opts.max_iterations = 15;
-  opts.tolerance = 0.0;  // Fixed-length traces on both cores.
+/// A fit's trajectory from the dense reference loop below.
+struct ReferenceFit {
+  std::vector<double> objective_trace;
+  la::Matrix g;
+  la::Matrix s;
+  la::Matrix error;  ///< Dense E_R (empty when the robust term is off).
+};
 
-  RhchmeOptions explicit_opts = opts;
-  explicit_opts.explicit_materialization = true;
+/// Algorithm 2 the straightforward way: every iteration materialises
+/// M = R − E_R, runs the library's dense update kernels
+/// (fact::SolveCentralS, fact::MultiplicativeGUpdate), forms the residual
+/// Q = R − G·S·Gᵀ and a dense E_R, and scores Eq. 15 elementwise. The
+/// solver's low-rank core must reproduce this trajectory to rounding on
+/// either R store; nothing here shares its algebra.
+ReferenceFit ReferenceLoop(const data::MultiTypeRelationalData& d,
+                           const HeterogeneousEnsemble& ensemble,
+                           const RhchmeOptions& opts) {
+  const fact::BlockStructure blocks = fact::BuildBlockStructure(d);
+  la::Matrix r = d.BuildJointR();
+  r.ReplaceNonFinite(0.0);
+  const std::size_t n = r.rows();
+  const la::SparseMatrix lap_pos = la::PositivePart(ensemble.laplacian);
+  const la::SparseMatrix lap_neg = la::NegativePart(ensemble.laplacian);
 
-  Result<RhchmeResult> implicit_fit = Rhchme(opts).Fit(d);
-  Result<RhchmeResult> explicit_fit = Rhchme(explicit_opts).Fit(d);
-  ASSERT_TRUE(implicit_fit.ok());
-  ASSERT_TRUE(explicit_fit.ok());
-
-  const auto& ti = implicit_fit.value().hocc.objective_trace;
-  const auto& te = explicit_fit.value().hocc.objective_trace;
-  ASSERT_EQ(ti.size(), te.size());
-  for (std::size_t i = 0; i < ti.size(); ++i) {
-    const double rel = std::fabs(ti[i] - te[i]) / std::fabs(te[i]);
-    EXPECT_LT(rel, 1e-10) << "iteration " << i;
+  Rng rng(opts.seed);
+  ReferenceFit out;
+  out.g = fact::InitMembership(d, blocks, opts.init, &rng).value();
+  if (opts.use_error_matrix) out.error = la::Matrix(n, n);
+  for (int t = 1; t <= opts.max_iterations; ++t) {
+    la::Matrix m = r;
+    if (opts.use_error_matrix) m.Sub(out.error);
+    out.s = fact::SolveCentralS(out.g, m, opts.ridge).value();
+    fact::MultiplicativeGUpdate(m, out.s, opts.lambda, &lap_pos, &lap_neg,
+                                opts.mu_eps, &out.g);
+    if (opts.normalize_rows) fact::NormalizeMembershipRows(blocks, &out.g);
+    la::Matrix q = la::MultiplyNT(la::Multiply(out.g, out.s), out.g);
+    q.Scale(-1.0);
+    q.Add(r);
+    if (opts.use_error_matrix) {
+      for (std::size_t i = 0; i < n; ++i) {
+        double norm_sq = 0.0;
+        for (std::size_t j = 0; j < n; ++j) norm_sq += q(i, j) * q(i, j);
+        const double d_ii = 1.0 / (2.0 * std::sqrt(norm_sq) + opts.l21_zeta);
+        const double scale = 1.0 / (opts.beta * d_ii + 1.0);
+        for (std::size_t j = 0; j < n; ++j) out.error(i, j) = scale * q(i, j);
+      }
+    }
+    out.objective_trace.push_back(
+        RhchmeObjective(r, out.g, out.s, out.error, ensemble.laplacian,
+                        opts.lambda, opts.beta));
   }
-  // The factored E_R must materialise to the explicit one.
-  EXPECT_LT(la::MaxAbsDiff(implicit_fit.value().ErrorMatrix(),
-                           explicit_fit.value().ErrorMatrix()),
-            1e-8);
+  return out;
 }
 
-TEST(RhchmeImplicitCore, LazyErrorMatrixMatchesFactoredForm) {
+void ExpectTracesMatch(const std::vector<double>& got,
+                       const std::vector<double>& want, double rel_tol,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const double rel = std::fabs(got[i] - want[i]) / std::fabs(want[i]);
+    EXPECT_LT(rel, rel_tol) << what << ", iteration " << i + 1;
+  }
+}
+
+/// Permanent equivalence gate of the low-rank core: on both R stores, at
+/// one and at four threads, with and without the robust and manifold
+/// terms, the objective trace matches the dense reference loop within
+/// 1e-8 relative, and the rebuilt E_R matches its dense E_R.
+TEST(RhchmeCore, TraceMatchesDenseReferenceLoop) {
   data::MultiTypeRelationalData d = SmallData();
-  Rhchme solver(FastOptions());
-  Result<RhchmeResult> r = solver.Fit(d);
-  ASSERT_TRUE(r.ok());
-  const RhchmeResult& res = r.value();
-  ASSERT_TRUE(res.HasErrorMatrix());
-  ASSERT_EQ(res.error_scale.size(), res.error_residual.rows());
-  const la::Matrix& e = res.ErrorMatrix();
-  ASSERT_EQ(e.rows(), res.error_residual.rows());
-  for (std::size_t i = 0; i < e.rows(); ++i) {
-    for (std::size_t j = 0; j < e.cols(); ++j) {
-      EXPECT_EQ(e(i, j), res.error_scale[i] * res.error_residual(i, j));
+  const fact::BlockStructure b = fact::BuildBlockStructure(d);
+  RhchmeOptions base = FastOptions();
+  base.max_iterations = 15;
+  base.tolerance = 0.0;  // Fixed-length traces on both sides.
+  const HeterogeneousEnsemble ensemble =
+      BuildEnsemble(d, b, base.ensemble).value();
+
+  struct Terms {
+    double lambda;
+    double beta;
+    bool robust;
+  };
+  for (const Terms& terms : {Terms{1.0, 50.0, true}, Terms{250.0, 300.0, true},
+                             Terms{1.0, 50.0, false}, Terms{0.0, 50.0, true}}) {
+    RhchmeOptions opts = base;
+    opts.lambda = terms.lambda;
+    opts.beta = terms.beta;
+    opts.use_error_matrix = terms.robust;
+    const ReferenceFit ref = ReferenceLoop(d, ensemble, opts);
+    for (double threshold : {kDenseStorage, kCsrStorage}) {
+      opts.sparse_r_density_threshold = threshold;
+      for (int threads : {1, 4}) {
+        ScopedNumThreads scoped(threads);
+        const std::string what =
+            "lambda=" + std::to_string(terms.lambda) +
+            " beta=" + std::to_string(terms.beta) +
+            " robust=" + std::to_string(terms.robust) +
+            " threshold=" + std::to_string(threshold) +
+            " threads=" + std::to_string(threads);
+        Result<RhchmeResult> fit = Rhchme(opts).FitWithEnsemble(d, ensemble);
+        ASSERT_TRUE(fit.ok()) << what << ": " << fit.status().ToString();
+        ExpectTracesMatch(fit.value().hocc.objective_trace,
+                          ref.objective_trace, 1e-8, what);
+        EXPECT_LT(la::MaxAbsDiff(fit.value().hocc.g, ref.g), 1e-8) << what;
+        EXPECT_LT(la::MaxAbsDiff(fit.value().ErrorMatrix(), ref.error), 1e-8)
+            << what;
+      }
     }
   }
-  // The accessor caches: a second call hands back the same matrix.
-  EXPECT_EQ(&res.ErrorMatrix(), &e);
 }
 
-/// Acceptance gate of the memory-lean core: the default path allocates
-/// exactly two dense n x n matrices per fit — the joint R and the shared
-/// M/Q workspace. No dense E_R, no dense ensemble Laplacian, no dense ±
-/// parts (la::memstats counts every Matrix construction/Resize of at
-/// least n² doubles).
-TEST(RhchmeImplicitCore, FitAllocatesOnlyTwoDenseNxN) {
-  data::MultiTypeRelationalData d = SmallData();
-  fact::BlockStructure b = fact::BuildBlockStructure(d);
-  RhchmeOptions opts = FastOptions();
-  Result<HeterogeneousEnsemble> e = BuildEnsemble(d, b, opts.ensemble);
-  ASSERT_TRUE(e.ok());
-  const std::size_t n = b.total_objects();
+// ---- Storage of the joint R ------------------------------------------------
 
-  Rhchme solver(opts);
-  la::memstats::StartTracking(n * n);
-  Result<RhchmeResult> r = solver.FitWithEnsemble(d, e.value());
-  la::memstats::StopTracking();
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(la::memstats::LargeAllocations(), 2u);
+/// ErrorMatrix() rebuilds diag(s)·(R − G·S·Gᵀ) with exactly these kernels.
+la::Matrix FactoredErrorMatrix(const data::MultiTypeRelationalData& d,
+                               const RhchmeResult& res) {
+  la::Matrix q =
+      la::MultiplyNT(la::Multiply(res.hocc.g, res.hocc.s), res.hocc.g);
+  q.Scale(-1.0);
+  la::Matrix r = d.BuildJointR();
+  r.ReplaceNonFinite(0.0);
+  q.Add(r);
+  for (std::size_t i = 0; i < q.rows(); ++i) {
+    for (std::size_t j = 0; j < q.cols(); ++j) q(i, j) *= res.error_scale[i];
+  }
+  return q;
 }
 
-/// The implicit core's kernels (fold, scale reduction, sparse SpMM and
-/// Sandwich) all chunk independently of the pool size, so the full fit is
-/// bit-identical across thread counts.
-TEST(RhchmeImplicitCore, FitIsBitStableAcrossThreadCounts) {
+TEST(RhchmeCore, LazyErrorMatrixMatchesFactoredForm) {
   data::MultiTypeRelationalData d = SmallData();
-  RhchmeOptions opts = FastOptions();
-  opts.max_iterations = 10;
-  opts.tolerance = 0.0;
-  auto fit = [&](int threads) {
-    ScopedNumThreads scoped(threads);
+  for (double threshold : {kDenseStorage, kCsrStorage}) {
+    RhchmeOptions opts = FastOptions();
+    opts.sparse_r_density_threshold = threshold;
     Result<RhchmeResult> r = Rhchme(opts).Fit(d);
-    EXPECT_TRUE(r.ok());
-    return std::move(r).value();
-  };
-  const RhchmeResult serial = fit(1);
-  const RhchmeResult threaded = fit(4);
-  EXPECT_EQ(serial.hocc.objective_trace, threaded.hocc.objective_trace);
-  EXPECT_EQ(la::MaxAbsDiff(serial.hocc.g, threaded.hocc.g), 0.0);
-  EXPECT_EQ(serial.error_scale, threaded.error_scale);
-  EXPECT_EQ(la::MaxAbsDiff(serial.error_residual, threaded.error_residual),
-            0.0);
-}
-
-/// Satellite guards: with the robust term off and lambda == 0, the fit
-/// must not touch E_R state or build Laplacian ± parts — on either core.
-TEST(RhchmeImplicitCore, DisabledTermsSkipTheirAllocations) {
-  data::MultiTypeRelationalData d = SmallData();
-  fact::BlockStructure b = fact::BuildBlockStructure(d);
-  RhchmeOptions opts = FastOptions();
-  opts.use_error_matrix = false;
-  opts.lambda = 0.0;
-  Result<HeterogeneousEnsemble> e = BuildEnsemble(d, b, opts.ensemble);
-  ASSERT_TRUE(e.ok());
-  const std::size_t n = b.total_objects();
-
-  for (bool explicit_core : {false, true}) {
-    RhchmeOptions core_opts = opts;
-    core_opts.explicit_materialization = explicit_core;
-    Rhchme solver(core_opts);
-    la::memstats::StartTracking(n * n);
-    Result<RhchmeResult> r = solver.FitWithEnsemble(d, e.value());
-    la::memstats::StopTracking();
-    ASSERT_TRUE(r.ok()) << "explicit_core=" << explicit_core;
-    // Joint R + the residual workspace; nothing else reaches n².
-    EXPECT_EQ(la::memstats::LargeAllocations(), 2u)
-        << "explicit_core=" << explicit_core;
-    EXPECT_FALSE(r.value().HasErrorMatrix());
+    ASSERT_TRUE(r.ok());
+    const RhchmeResult& res = r.value();
+    ASSERT_TRUE(res.HasErrorMatrix());
+    EXPECT_EQ(res.error_relation.storage(),
+              threshold == kCsrStorage ? RelationOperator::Storage::kCsr
+                                       : RelationOperator::Storage::kDense);
+    const la::Matrix& e = res.ErrorMatrix();
+    EXPECT_EQ(la::MaxAbsDiff(e, FactoredErrorMatrix(d, res)), 0.0)
+        << "threshold=" << threshold;
+    // The accessor caches: a second call hands back the same matrix.
+    EXPECT_EQ(&res.ErrorMatrix(), &e);
   }
 }
 
-// ---- Sparse-R solver core --------------------------------------------------
+/// Memory gate: a fit allocates exactly one dense n x n matrix when R is
+/// stored dense — R itself — and none when R is CSR. No dense E_R, no
+/// residual, no workspace, no dense Laplacian or ± parts (la::memstats
+/// counts every Matrix construction/Resize of at least n² doubles). The
+/// same holds with the robust and manifold terms switched off.
+TEST(RhchmeCore, DenseNxNAllocationsPerStorage) {
+  data::MultiTypeRelationalData d = SmallData();
+  fact::BlockStructure b = fact::BuildBlockStructure(d);
+  const std::size_t n = b.total_objects();
+  for (bool disabled_terms : {false, true}) {
+    RhchmeOptions opts = FastOptions();
+    if (disabled_terms) {
+      opts.use_error_matrix = false;
+      opts.lambda = 0.0;
+    }
+    Result<HeterogeneousEnsemble> e = BuildEnsemble(d, b, opts.ensemble);
+    ASSERT_TRUE(e.ok());
+    for (double threshold : {kDenseStorage, kCsrStorage}) {
+      opts.sparse_r_density_threshold = threshold;
+      la::memstats::StartTracking(n * n);
+      Result<RhchmeResult> r = Rhchme(opts).FitWithEnsemble(d, e.value());
+      la::memstats::StopTracking();
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(la::memstats::LargeAllocations(),
+                threshold == kDenseStorage ? 1u : 0u)
+          << "threshold=" << threshold << " disabled_terms=" << disabled_terms;
+      EXPECT_EQ(r.value().HasErrorMatrix(), !disabled_terms);
+    }
+  }
+}
 
-/// Acceptance gate of the sparse-R core: the objective trace must agree
-/// with the implicit dense core within 1e-8 relative — at one and at four
-/// threads — on the synthetic three-type dataset. The cores share the
-/// update algebra but group the arithmetic differently (low-rank
-/// identities vs dense folds), so exact equality is not expected.
-TEST(RhchmeSparseCore, ObjectiveTraceMatchesImplicitCoreAtBothThreadCounts) {
+/// Every kernel of the core (R products on either store, row
+/// recombinations, c x c products, Sandwich) chunks independently of the
+/// pool size, so the full fit is bit-identical across thread counts.
+TEST(RhchmeCore, FitIsBitStableAcrossThreadCounts) {
+  data::MultiTypeRelationalData d = SmallData();
+  for (double threshold : {kDenseStorage, kCsrStorage}) {
+    RhchmeOptions opts = FastOptions();
+    opts.max_iterations = 10;
+    opts.tolerance = 0.0;
+    opts.sparse_r_density_threshold = threshold;
+    auto fit = [&](int threads) {
+      ScopedNumThreads scoped(threads);
+      Result<RhchmeResult> r = Rhchme(opts).Fit(d);
+      EXPECT_TRUE(r.ok());
+      return std::move(r).value();
+    };
+    const RhchmeResult serial = fit(1);
+    const RhchmeResult threaded = fit(4);
+    EXPECT_EQ(serial.hocc.objective_trace, threaded.hocc.objective_trace);
+    EXPECT_EQ(la::MaxAbsDiff(serial.hocc.g, threaded.hocc.g), 0.0);
+    EXPECT_EQ(serial.error_scale, threaded.error_scale);
+    EXPECT_EQ(la::MaxAbsDiff(serial.ErrorMatrix(), threaded.ErrorMatrix()),
+              0.0);
+  }
+}
+
+/// Dense and CSR stores run the same algebra with differently ordered
+/// products: traces agree to rounding, labels and E_R agree.
+TEST(RhchmeCore, DenseAndCsrStorageAgree) {
   data::MultiTypeRelationalData d = SmallData();
   RhchmeOptions opts = FastOptions();
   opts.max_iterations = 15;
-  opts.tolerance = 0.0;  // Fixed-length traces on both cores.
-
-  RhchmeOptions sparse_opts = opts;
-  sparse_opts.sparse_r = SparseRMode::kAlways;
-  RhchmeOptions dense_opts = opts;
-  dense_opts.sparse_r = SparseRMode::kNever;
-
+  opts.tolerance = 0.0;
   for (int threads : {1, 4}) {
     ScopedNumThreads scoped(threads);
-    Result<RhchmeResult> sparse_fit = Rhchme(sparse_opts).Fit(d);
+    RhchmeOptions dense_opts = opts;
+    dense_opts.sparse_r_density_threshold = kDenseStorage;
+    RhchmeOptions csr_opts = opts;
+    csr_opts.sparse_r_density_threshold = kCsrStorage;
     Result<RhchmeResult> dense_fit = Rhchme(dense_opts).Fit(d);
-    ASSERT_TRUE(sparse_fit.ok()) << "threads=" << threads;
-    ASSERT_TRUE(dense_fit.ok()) << "threads=" << threads;
-
-    const auto& ts = sparse_fit.value().hocc.objective_trace;
-    const auto& td = dense_fit.value().hocc.objective_trace;
-    ASSERT_EQ(ts.size(), td.size()) << "threads=" << threads;
-    for (std::size_t i = 0; i < ts.size(); ++i) {
-      const double rel = std::fabs(ts[i] - td[i]) / std::fabs(td[i]);
-      EXPECT_LT(rel, 1e-8) << "iteration " << i << ", threads=" << threads;
-    }
-    // Same clustering out of both cores.
-    EXPECT_EQ(sparse_fit.value().hocc.labels, dense_fit.value().hocc.labels)
-        << "threads=" << threads;
+    Result<RhchmeResult> csr_fit = Rhchme(csr_opts).Fit(d);
+    ASSERT_TRUE(dense_fit.ok());
+    ASSERT_TRUE(csr_fit.ok());
+    ExpectTracesMatch(csr_fit.value().hocc.objective_trace,
+                      dense_fit.value().hocc.objective_trace, 1e-8,
+                      "threads=" + std::to_string(threads));
+    EXPECT_EQ(csr_fit.value().hocc.labels, dense_fit.value().hocc.labels);
+    EXPECT_LT(la::MaxAbsDiff(csr_fit.value().ErrorMatrix(),
+                             dense_fit.value().ErrorMatrix()),
+              1e-8);
   }
 }
 
-/// ROADMAP item 4d: the joint R of MultiTypeRelationalData is symmetric
-/// by construction (every relation is mirrored into its transpose), so
-/// assume_symmetric_r — which reuses K = R·G for Rᵀ·G and runs the scaled
-/// transposed product as a forward SpMM — must reproduce the non-assuming
-/// sparse core to rounding: trace-match <= 1e-8 relative, same labels, at
-/// one and at four threads, with and without the robust term.
-TEST(RhchmeSparseCore, AssumeSymmetricRMatchesNonAssumingPath) {
-  data::MultiTypeRelationalData d = SmallData();
+/// The default threshold picks the store per dataset: a tf-idf-sparse
+/// block world (heavy dropout) runs on CSR (zero dense n x n), the dense
+/// default block world on a dense R (exactly one).
+TEST(RhchmeCore, DefaultThresholdSelectsStorageByDensity) {
   RhchmeOptions opts = FastOptions();
-  opts.max_iterations = 15;
-  opts.tolerance = 0.0;  // Fixed-length traces on both paths.
-  opts.sparse_r = SparseRMode::kAlways;
-
-  for (bool robust : {true, false}) {
-    opts.use_error_matrix = robust;
-    RhchmeOptions sym_opts = opts;
-    sym_opts.assume_symmetric_r = true;
-    for (int threads : {1, 4}) {
-      ScopedNumThreads scoped(threads);
-      Result<RhchmeResult> base = Rhchme(opts).Fit(d);
-      Result<RhchmeResult> sym = Rhchme(sym_opts).Fit(d);
-      ASSERT_TRUE(base.ok()) << "threads=" << threads;
-      ASSERT_TRUE(sym.ok()) << "threads=" << threads;
-
-      const auto& tb = base.value().hocc.objective_trace;
-      const auto& ts = sym.value().hocc.objective_trace;
-      ASSERT_EQ(tb.size(), ts.size()) << "threads=" << threads;
-      for (std::size_t i = 0; i < tb.size(); ++i) {
-        const double rel = std::fabs(tb[i] - ts[i]) / std::fabs(tb[i]);
-        EXPECT_LT(rel, 1e-8)
-            << "iteration " << i << ", threads=" << threads
-            << ", robust=" << robust;
-      }
-      EXPECT_EQ(base.value().hocc.labels, sym.value().hocc.labels)
-          << "threads=" << threads << ", robust=" << robust;
-    }
-  }
-}
-
-/// The sparse-R fit must never allocate a dense n x n matrix — the whole
-/// point of the core. la::memstats counts every Matrix construction or
-/// Resize of >= n² doubles.
-TEST(RhchmeSparseCore, FitAllocatesZeroDenseNxN) {
-  data::MultiTypeRelationalData d = SmallData();
-  fact::BlockStructure b = fact::BuildBlockStructure(d);
-  RhchmeOptions opts = FastOptions();
-  opts.sparse_r = SparseRMode::kAlways;
-  Result<HeterogeneousEnsemble> e = BuildEnsemble(d, b, opts.ensemble);
-  ASSERT_TRUE(e.ok());
-  const std::size_t n = b.total_objects();
-
-  Rhchme solver(opts);
-  la::memstats::StartTracking(n * n);
-  Result<RhchmeResult> r = solver.FitWithEnsemble(d, e.value());
-  la::memstats::StopTracking();
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(la::memstats::LargeAllocations(), 0u);
-  EXPECT_TRUE(r.value().hocc.g.AllFinite());
-  EXPECT_TRUE(r.value().HasErrorMatrix());
-}
-
-TEST(RhchmeSparseCore, FitIsBitStableAcrossThreadCounts) {
-  data::MultiTypeRelationalData d = SmallData();
-  RhchmeOptions opts = FastOptions();
-  opts.sparse_r = SparseRMode::kAlways;
-  opts.max_iterations = 10;
-  opts.tolerance = 0.0;
-  auto fit = [&](int threads) {
-    ScopedNumThreads scoped(threads);
-    Result<RhchmeResult> r = Rhchme(opts).Fit(d);
-    EXPECT_TRUE(r.ok());
-    return std::move(r).value();
-  };
-  const RhchmeResult serial = fit(1);
-  const RhchmeResult threaded = fit(4);
-  EXPECT_EQ(serial.hocc.objective_trace, threaded.hocc.objective_trace);
-  EXPECT_EQ(la::MaxAbsDiff(serial.hocc.g, threaded.hocc.g), 0.0);
-  EXPECT_EQ(serial.error_scale, threaded.error_scale);
-}
-
-/// The factored sparse E_R materialises to the implicit core's dense one.
-TEST(RhchmeSparseCore, ErrorMatrixMatchesImplicitCore) {
-  data::MultiTypeRelationalData d = SmallData();
-  RhchmeOptions opts = FastOptions();
-  opts.max_iterations = 12;
-  opts.tolerance = 0.0;
-  RhchmeOptions sparse_opts = opts;
-  sparse_opts.sparse_r = SparseRMode::kAlways;
-  Result<RhchmeResult> sparse_fit = Rhchme(sparse_opts).Fit(d);
-  Result<RhchmeResult> dense_fit = Rhchme(opts).Fit(d);
-  ASSERT_TRUE(sparse_fit.ok());
-  ASSERT_TRUE(dense_fit.ok());
-  ASSERT_TRUE(sparse_fit.value().HasErrorMatrix());
-  EXPECT_TRUE(sparse_fit.value().error_residual.empty());
-  EXPECT_GT(sparse_fit.value().error_sparse_r.nnz(), 0u);
-  EXPECT_LT(la::MaxAbsDiff(sparse_fit.value().ErrorMatrix(),
-                           dense_fit.value().ErrorMatrix()),
-            1e-8);
-}
-
-/// kAuto picks the core per dataset: a tf-idf-sparse block world (heavy
-/// dropout) runs sparse (zero dense n x n), the dense default block world
-/// stays on the implicit dense core (exactly two).
-TEST(RhchmeSparseCore, AutoModeSelectsByDensity) {
-  RhchmeOptions opts = FastOptions();
-  ASSERT_EQ(opts.sparse_r, SparseRMode::kAuto);
+  ASSERT_EQ(opts.sparse_r_density_threshold, 0.05);
 
   data::BlockWorldOptions sparse_world;
   sparse_world.objects_per_type = {24, 18, 12};
@@ -608,10 +581,12 @@ TEST(RhchmeSparseCore, AutoModeSelectsByDensity) {
   struct Case {
     const data::MultiTypeRelationalData* data;
     std::size_t expected_allocs;
+    RelationOperator::Storage storage;
   };
-  for (const Case& c : {Case{&sparse_data, 0}, Case{&dense_data, 2}}) {
+  for (const Case& c :
+       {Case{&sparse_data, 0, RelationOperator::Storage::kCsr},
+        Case{&dense_data, 1, RelationOperator::Storage::kDense}}) {
     const data::MultiTypeRelationalData& data = *c.data;
-    const std::size_t expected_allocs = c.expected_allocs;
     fact::BlockStructure b = fact::BuildBlockStructure(data);
     Result<HeterogeneousEnsemble> e = BuildEnsemble(data, b, opts.ensemble);
     ASSERT_TRUE(e.ok());
@@ -620,38 +595,17 @@ TEST(RhchmeSparseCore, AutoModeSelectsByDensity) {
     Result<RhchmeResult> r = Rhchme(opts).FitWithEnsemble(data, e.value());
     la::memstats::StopTracking();
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(la::memstats::LargeAllocations(), expected_allocs);
+    EXPECT_EQ(la::memstats::LargeAllocations(), c.expected_allocs);
+    EXPECT_EQ(r.value().error_relation.storage(), c.storage);
   }
 }
 
-/// Disabled robust term and lambda == 0 must also stay dense-free on the
-/// sparse core.
-TEST(RhchmeSparseCore, DisabledTermsStayAllocationFree) {
-  data::MultiTypeRelationalData d = SmallData();
-  fact::BlockStructure b = fact::BuildBlockStructure(d);
-  RhchmeOptions opts = FastOptions();
-  opts.sparse_r = SparseRMode::kAlways;
-  opts.use_error_matrix = false;
-  opts.lambda = 0.0;
-  Result<HeterogeneousEnsemble> e = BuildEnsemble(d, b, opts.ensemble);
-  ASSERT_TRUE(e.ok());
-  const std::size_t n = b.total_objects();
-  Rhchme solver(opts);
-  la::memstats::StartTracking(n * n);
-  Result<RhchmeResult> r = solver.FitWithEnsemble(d, e.value());
-  la::memstats::StopTracking();
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(la::memstats::LargeAllocations(), 0u);
-  EXPECT_FALSE(r.value().HasErrorMatrix());
-  EXPECT_TRUE(r.value().ErrorMatrix().empty());
-}
-
-/// Theorem 1 holds on the sparse core too: same updates, different
-/// arithmetic grouping.
-TEST(RhchmeSparseCore, ObjectiveMonotonicallyDecreases) {
+/// Theorem 1 holds on the CSR store too: same updates, different
+/// arithmetic grouping of the R products.
+TEST(RhchmeCore, CsrObjectiveMonotonicallyDecreases) {
   data::MultiTypeRelationalData d = SmallData();
   RhchmeOptions opts = FastOptions();
-  opts.sparse_r = SparseRMode::kAlways;
+  opts.sparse_r_density_threshold = kCsrStorage;
   opts.normalize_rows = false;
   opts.max_iterations = 30;
   opts.tolerance = 0.0;
@@ -666,12 +620,12 @@ TEST(RhchmeSparseCore, ObjectiveMonotonicallyDecreases) {
   }
 }
 
-/// The standalone sparse-R objective overload, fed the sparse fit's own
+/// The standalone sparse-R objective overload, fed a CSR fit's own
 /// factors, must reproduce the solver's last trace entry.
-TEST(RhchmeObjective, SparseROverloadMatchesSparseFitTrace) {
+TEST(RhchmeObjective, SparseROverloadMatchesFitTrace) {
   data::MultiTypeRelationalData d = SmallData();
   RhchmeOptions opts = FastOptions();
-  opts.sparse_r = SparseRMode::kAlways;
+  opts.sparse_r_density_threshold = kCsrStorage;
   opts.max_iterations = 8;
   opts.tolerance = 0.0;
   Rhchme solver(opts);
@@ -731,13 +685,7 @@ TEST(RhchmeResult, ErrorMatrixIsSafeUnderConcurrentConstReads) {
     EXPECT_EQ(seen[i], seen[0]) << "reader " << i;
   }
   // The built matrix matches the factored form.
-  const la::Matrix& e = *seen[0];
-  ASSERT_EQ(e.rows(), res.error_residual.rows());
-  for (std::size_t i = 0; i < e.rows(); ++i) {
-    for (std::size_t j = 0; j < e.cols(); ++j) {
-      EXPECT_EQ(e(i, j), res.error_scale[i] * res.error_residual(i, j));
-    }
-  }
+  EXPECT_EQ(la::MaxAbsDiff(*seen[0], FactoredErrorMatrix(d, res)), 0.0);
 }
 
 TEST(RhchmeObjective, SparseOverloadMatchesFinalTraceValue) {

@@ -141,54 +141,6 @@ TEST(Sparse, RowNormsSquaredEmptyAndZeroRows) {
   EXPECT_EQ(norms[2], 0.0);
 }
 
-TEST(Sparse, TransposedScaledDenseMatchesDenseOnBothPaths) {
-  // Aᵀ·diag(d)·B against the dense reference, on the scatter fallback and
-  // on the CSC gather path.
-  Rng rng(32);
-  Matrix a = RandomSparseDense(8, 6, 0.5, 32);
-  Matrix b = Matrix::RandomNormal(8, 3, &rng);
-  std::vector<double> d(8);
-  for (double& v : d) v = rng.Uniform(-1.0, 2.0);
-  Matrix expected(6, 3);
-  for (std::size_t i = 0; i < 8; ++i) {
-    for (std::size_t r = 0; r < 6; ++r) {
-      for (std::size_t c = 0; c < 3; ++c) {
-        expected(r, c) += a(i, r) * d[i] * b(i, c);
-      }
-    }
-  }
-  SparseMatrix sparse = SparseMatrix::FromDense(a);
-  Matrix got;
-  sparse.MultiplyTransposedScaledDenseInto(d, b, &got);  // Scatter path.
-  EXPECT_LT(MaxAbsDiff(got, expected), 1e-12);
-  sparse.BuildCscMirror();
-  Matrix got_csc;
-  sparse.MultiplyTransposedScaledDenseInto(d, b, &got_csc);  // Gather path.
-  EXPECT_LT(MaxAbsDiff(got_csc, expected), 1e-12);
-}
-
-TEST(Sparse, TransposedScaledDenseBitStableAcrossThreadCounts) {
-  Rng rng(33);
-  Matrix a = RandomSparseDense(64, 40, 0.2, 33);
-  Matrix b = Matrix::RandomNormal(64, 5, &rng);
-  std::vector<double> d(64);
-  for (double& v : d) v = rng.Uniform(0.0, 1.0);
-  SparseMatrix sparse = SparseMatrix::FromDense(a);
-  auto run = [&](int threads, bool mirror) {
-    ScopedNumThreads scoped(threads);
-    SparseMatrix m = sparse;
-    if (mirror) m.BuildCscMirror();
-    Matrix out;
-    m.MultiplyTransposedScaledDenseInto(d, b, &out);
-    return out;
-  };
-  for (bool mirror : {false, true}) {
-    Matrix serial = run(1, mirror);
-    Matrix threaded = run(4, mirror);
-    EXPECT_EQ(MaxAbsDiff(serial, threaded), 0.0) << "mirror=" << mirror;
-  }
-}
-
 TEST(Sparse, RowSumsMatchDense) {
   Rng rng(6);
   Matrix dense = Matrix::RandomUniform(5, 5, &rng);

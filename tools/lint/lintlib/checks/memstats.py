@@ -1,8 +1,9 @@
 """Memstats-accounting check.
 
-The solver-memory arc (PRs 3 and 5) is pinned by la::memstats: tests
-prove the implicit and sparse-R cores never materialise a dense n x n
-working set by counting large allocations at the la::Matrix seam. That
+The solver-memory arc is pinned by la::memstats: tests prove the solver
+core never materialises a dense n x n working set (one allocation, R
+itself, on the dense store; none on CSR) by counting large allocations
+at the la::Matrix seam. That
 proof only holds while every dense product-shaped buffer actually goes
 through Matrix (whose constructor and Resize call
 memstats::internal::NoteAlloc). A hot path that side-steps it — raw new
