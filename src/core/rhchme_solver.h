@@ -88,10 +88,13 @@ struct RhchmeOptions {
   /// Storage rule of the joint R: CSR when its density (nnz / n²) is at
   /// most this, dense otherwise. Both stores run the same core and agree
   /// to rounding; they differ in speed and memory (CSR allocates no dense
-  /// n x n matrix). 5% keeps genuinely sparse relations (tf-idf corpora
-  /// sit well below 1%) on CSR, while the dense synthetic block worlds
-  /// and the paper's presets (20–30% fill) stay dense. 0 forces dense
-  /// (for a nonzero R), 1 forces CSR.
+  /// n x n matrix). The 5% default is inherited from the cut between the
+  /// former dense implicit and sparse-R cores and has not been re-measured
+  /// for this single core: at it, tf-idf corpora (well below 1% fill) run
+  /// on CSR and the paper's presets (20–30% fill) run dense, although
+  /// BM_RelationProduct{Dense,Csr} suggests CSR may be faster there too.
+  /// Moving the cut is the open "storage cut" of ROADMAP item 2. 0 forces
+  /// dense (for a nonzero R), 1 forces CSR.
   double sparse_r_density_threshold = 0.05;
 
   // ---- Checkpoint/resume (fault tolerance) -------------------------------

@@ -21,10 +21,16 @@ Usage:
       [--threshold 0.25] [--recall-threshold 0.02] [--allow-debug]
 
 Regenerating the baseline (Release build only; pin the kernel table so
-the committed context matches what CI dispatches):
+the committed context matches what CI dispatches; regenerate the whole
+file in one run on one host, never splice entries from another machine):
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build build -j
-  (cd build && ./bench_kernels --force_isa=avx2 --benchmark_min_time=0.1)
+  (cd build && ./bench_kernels --force_isa=avx2 --benchmark_min_time=0.1 \
+       --benchmark_repetitions=5)
   cp build/BENCH_kernels.json BENCH_kernels.baseline.json
+
+A benchmark that appears several times (repetitions) is represented by
+the median of its real_time rows, so one lucky or unlucky repetition
+does not set the reference.
 
 Cross-machine caveat: real_time is only comparable on similar hardware.
 The committed baseline tracks the reference dev machine; on very
@@ -34,27 +40,30 @@ comparison (or raise --threshold).
 
 import argparse
 import json
+import statistics
 import sys
 
 
 def load_benchmarks(path):
     """Returns (context, {name: real_time}, {name: recall}) for a
-    google-benchmark JSON; recall only holds kernels that report the
-    counter."""
+    google-benchmark JSON; real_time is the median over a benchmark's
+    repetitions, and recall only holds kernels that report the counter."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    times = {}
+    samples = {}
     recalls = {}
     for bench in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev of repetitions).
+        # Skip aggregate rows (mean/median/stddev of repetitions); the
+        # median is recomputed below from the per-repetition rows.
         if bench.get("run_type") == "aggregate":
             continue
         name = bench.get("name")
         if name is None or "real_time" not in bench:
             continue
-        times[name] = float(bench["real_time"])
+        samples.setdefault(name, []).append(float(bench["real_time"]))
         if "recall" in bench:
             recalls[name] = float(bench["recall"])
+    times = {name: statistics.median(v) for name, v in samples.items()}
     return doc.get("context", {}), times, recalls
 
 
