@@ -38,68 +38,15 @@ Status RhchmeOptions::Validate() const {
   return ensemble.Validate();
 }
 
-RhchmeResult::RhchmeResult(const RhchmeResult& other)
-    : hocc(other.hocc),
-      ensemble(other.ensemble),
-      error_scale(other.error_scale),
-      error_relation(other.error_relation),
-      diagnostics(other.diagnostics) {
-  std::lock_guard<std::mutex> lock(other.error_mu_);
-  error_dense_ = other.error_dense_;
-}
-
-RhchmeResult& RhchmeResult::operator=(const RhchmeResult& other) {
-  if (this == &other) return *this;
-  la::Matrix dense;
-  {
-    std::lock_guard<std::mutex> lock(other.error_mu_);
-    dense = other.error_dense_;
-  }
-  hocc = other.hocc;
-  ensemble = other.ensemble;
-  error_scale = other.error_scale;
-  error_relation = other.error_relation;
-  diagnostics = other.diagnostics;
-  std::lock_guard<std::mutex> lock(error_mu_);
-  error_dense_ = std::move(dense);
-  return *this;
-}
-
-// Moves assume exclusive access to `other` (standard move contract), so
-// its cache slot is read without locking.
-RhchmeResult::RhchmeResult(RhchmeResult&& other) noexcept
-    : hocc(std::move(other.hocc)),
-      ensemble(std::move(other.ensemble)),
-      error_scale(std::move(other.error_scale)),
-      error_relation(std::move(other.error_relation)),
-      diagnostics(other.diagnostics),
-      error_dense_(std::move(other.error_dense_)) {}
-
-RhchmeResult& RhchmeResult::operator=(RhchmeResult&& other) noexcept {
-  if (this == &other) return *this;
-  hocc = std::move(other.hocc);
-  ensemble = std::move(other.ensemble);
-  error_scale = std::move(other.error_scale);
-  error_relation = std::move(other.error_relation);
-  diagnostics = other.diagnostics;
-  error_dense_ = std::move(other.error_dense_);
-  return *this;
-}
-
 bool RhchmeResult::HasErrorMatrix() const { return !error_scale.empty(); }
 
-const la::Matrix& RhchmeResult::ErrorMatrix() const {
-  // The lazy build runs under the mutex so concurrent const readers are
-  // safe (same pattern as SparseMatrix::BuildCscMirror): at most one
-  // thread builds, the rest block and reuse the cached matrix, which is
-  // immutable afterwards. The fit never formed Q = R − G·S·Gᵀ, so it is
-  // rebuilt here from the stored operator and the final factors — the
-  // only dense n x n allocation beyond a dense-stored R, made on demand.
-  std::lock_guard<std::mutex> lock(error_mu_);
-  if (!error_dense_.empty() || error_scale.empty()) return error_dense_;
-  error_dense_ = error_relation.ScaledResidual(la::Multiply(hocc.g, hocc.s),
-                                               hocc.g, error_scale);
-  return error_dense_;
+la::Matrix RhchmeResult::ErrorMatrix() const {
+  // The fit never formed Q = R − G·S·Gᵀ, so it is rebuilt here from the
+  // stored operator and the final factors — the only dense n x n
+  // allocation beyond a dense-stored R, made on demand.
+  if (error_scale.empty()) return la::Matrix();
+  return error_relation.ScaledResidual(la::Multiply(hocc.g, hocc.s), hocc.g,
+                                       error_scale);
 }
 
 namespace {
@@ -119,6 +66,34 @@ double ObjectiveDataTerms(const la::Matrix& r, const la::Matrix& g,
     l21 = error_matrix.L21Norm();
   }
   return residual.FrobeniusNormSquared() + beta * l21;
+}
+
+/// Residual row norms ‖q_i‖ of Q = R − G·S·Gᵀ from cached n x c state,
+/// shared by the fit loop and the sparse-R objective: with H = G·S,
+/// K = R·G and HG = H·(GᵀG), ‖q_i‖² = ‖r_i‖² − 2·h_i·k_iᵀ + h_i·HG_iᵀ.
+/// Each row is written by exactly one chunk in fixed order, so the norms
+/// are bit-identical for any pool size. `row_norm` must hold n entries.
+void ResidualRowNorms(const std::vector<double>& r_norm_sq,
+                      const la::Matrix& h, const la::Matrix& k,
+                      const la::Matrix& hg, std::vector<double>* row_norm) {
+  const std::size_t c = h.cols();
+  util::ParallelFor(0, h.rows(), util::GrainForWork(4 * c + 1),
+                    [&](std::size_t r0, std::size_t r1) {
+                      for (std::size_t i = r0; i < r1; ++i) {
+                        const double* hi = h.row_ptr(i);
+                        const double* ki = k.row_ptr(i);
+                        const double* hgi = hg.row_ptr(i);
+                        double hk = 0.0, hh = 0.0;
+                        for (std::size_t j = 0; j < c; ++j) {
+                          hk += hi[j] * ki[j];
+                          hh += hi[j] * hgi[j];
+                        }
+                        // The identity can dip below zero by rounding when
+                        // a residual row vanishes; clamp before the root.
+                        const double nsq = r_norm_sq[i] - 2.0 * hk + hh;
+                        (*row_norm)[i] = nsq > 0.0 ? std::sqrt(nsq) : 0.0;
+                      }
+                    });
 }
 
 /// Objective-divergence guard: multiplicative updates descend
@@ -199,7 +174,6 @@ double RhchmeObjective(const la::SparseMatrix& r, const la::Matrix& g,
                        const la::SparseMatrix& laplacian, double lambda,
                        double beta) {
   const std::size_t n = g.rows();
-  const std::size_t c = g.cols();
   RHCHME_CHECK(r.rows() == n && r.cols() == n,
                "RhchmeObjective: R shape mismatch");
   RHCHME_CHECK(error_scale.empty() || error_scale.size() == n,
@@ -213,21 +187,7 @@ double RhchmeObjective(const la::SparseMatrix& r, const la::Matrix& g,
   la::Matrix hg = la::Multiply(h, la::Gram(g));
   const std::vector<double> r_norm_sq = r.RowNormsSquared();
   std::vector<double> row_norm(n, 0.0);
-  util::ParallelFor(0, n, util::GrainForWork(4 * c + 1),
-                    [&](std::size_t r0, std::size_t r1) {
-                      for (std::size_t i = r0; i < r1; ++i) {
-                        const double* hi = h.row_ptr(i);
-                        const double* ki = k.row_ptr(i);
-                        const double* hgi = hg.row_ptr(i);
-                        double hk = 0.0, hh = 0.0;
-                        for (std::size_t j = 0; j < c; ++j) {
-                          hk += hi[j] * ki[j];
-                          hh += hi[j] * hgi[j];
-                        }
-                        const double nsq = r_norm_sq[i] - 2.0 * hk + hh;
-                        row_norm[i] = nsq > 0.0 ? std::sqrt(nsq) : 0.0;
-                      }
-                    });
+  ResidualRowNorms(r_norm_sq, h, k, hg, &row_norm);
   double data_term = 0.0;
   double l21 = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -515,24 +475,7 @@ Result<RhchmeResult> Rhchme::Solve(
     // row i of E_R is row i of Q scaled by s_i = 1/(beta/(2‖q_i‖+zeta)+1),
     // and the objective terms follow from E_R = diag(s)·Q:
     //   ‖Q − E_R‖²_F = Σ (1 − s_i)²·‖q_i‖²,  ‖E_R‖₂,₁ = Σ s_i·‖q_i‖.
-    util::ParallelFor(
-        0, n, util::GrainForWork(4 * c + 1),
-        [&](std::size_t r0, std::size_t r1) {
-          for (std::size_t i = r0; i < r1; ++i) {
-            const double* hi = h.row_ptr(i);
-            const double* ki = k.row_ptr(i);
-            const double* hgi = hg.row_ptr(i);
-            double hk = 0.0, hh = 0.0;
-            for (std::size_t j = 0; j < c; ++j) {
-              hk += hi[j] * ki[j];
-              hh += hi[j] * hgi[j];
-            }
-            // The identity can dip below zero by rounding when a residual
-            // row vanishes; clamp before the square root.
-            const double nsq = r_norm_sq[i] - 2.0 * hk + hh;
-            row_norm[i] = nsq > 0.0 ? std::sqrt(nsq) : 0.0;
-          }
-        });
+    ResidualRowNorms(r_norm_sq, h, k, hg, &row_norm);
     if (util::FaultShouldFail(util::fault_site::kResidualPoison) && n > 0) {
       row_norm[0] = std::numeric_limits<double>::quiet_NaN();
     }

@@ -41,7 +41,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -179,30 +178,14 @@ struct RhchmeResult {
   /// Guard/recovery counters for this fit (all zero on a healthy run).
   FitDiagnostics diagnostics;
 
-  // ErrorMatrix()'s lazy cache adds a mutex, so the rule-of-five members
-  // are spelled out (same pattern as la::SparseMatrix's CSC cache).
-  RhchmeResult() = default;
-  RhchmeResult(const RhchmeResult& other);
-  RhchmeResult& operator=(const RhchmeResult& other);
-  RhchmeResult(RhchmeResult&& other) noexcept;
-  RhchmeResult& operator=(RhchmeResult&& other) noexcept;
-  ~RhchmeResult() = default;
-
   /// True when a robust E_R was learned.
   bool HasErrorMatrix() const;
 
-  /// Dense E_R, materialised on first call and cached — the solver itself
-  /// never allocates it. Returns an empty matrix when the robust term was
-  /// disabled. Thread-safe: the lazy build is internally synchronised (at
-  /// most one thread builds, the rest reuse the cached matrix), matching
-  /// the library's "concurrent const access is safe" contract.
-  const la::Matrix& ErrorMatrix() const;
-
- private:
-  /// Guards the lazy build of error_dense_ below; the built matrix is
-  /// immutable afterwards.
-  mutable std::mutex error_mu_;
-  mutable la::Matrix error_dense_;   ///< Lazy cache for ErrorMatrix().
+  /// Dense E_R, rebuilt from the factored form on each call — the solver
+  /// itself never allocates it, and callers that need it repeatedly keep
+  /// the returned matrix. Returns an empty matrix when the robust term was
+  /// disabled.
+  la::Matrix ErrorMatrix() const;
 };
 
 /// RHCHME driver. Typical use:

@@ -14,7 +14,7 @@ namespace graph {
 namespace {
 
 /// Bounded chunk count for the shape-only triangular split of the exact
-/// engine (same idiom and cap as the sparse scatter fallback): scratch is
+/// engine (same idiom and cap as la::MultiplyTNStreamInto): scratch is
 /// O(n·p) per chunk, so the cap bounds peak memory at 16·n·p entries.
 constexpr std::size_t kMaxExactChunks = 16;
 

@@ -164,21 +164,16 @@ Matrix Multiply(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void MultiplyTNInto(const Matrix& a, const Matrix& b, Matrix* c) {
+Matrix MultiplyTN(const Matrix& a, const Matrix& b) {
   RHCHME_CHECK(a.rows() == b.rows(), "MultiplyTN: inner dims mismatch");
   // Materialising Aᵀ costs O(mk) against the O(mkn) product and turns the
   // column-strided reads into the contiguous row-panel kernel.
   const Matrix at = a.Transposed();
-  const std::size_t m = at.rows();
-  c->Resize(m, b.cols());
-  util::ParallelFor(0, m, kRowPanel, [&](std::size_t r0, std::size_t r1) {
-    GemmPanelNN(at, b, c, r0, r1);
-  });
-}
-
-Matrix MultiplyTN(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  MultiplyTNInto(a, b, &c);
+  Matrix c(at.rows(), b.cols());
+  util::ParallelFor(0, at.rows(), kRowPanel,
+                    [&](std::size_t r0, std::size_t r1) {
+                      GemmPanelNN(at, b, &c, r0, r1);
+                    });
   return c;
 }
 
@@ -188,10 +183,10 @@ void MultiplyTNStreamInto(const Matrix& a, const Matrix& b, Matrix* c) {
   const std::size_t kk = a.rows(), m = a.cols(), n = b.cols();
   c->Resize(m, n);
   if (kk == 0 || m == 0 || n == 0) return;
-  // Mirror of the sparse scatter fallback: bounded per-chunk accumulators
-  // keep the merge memory at <= kMaxChunks output copies, and the
-  // shape-only chunk layout keeps the per-element accumulation order
-  // (ascending source row) independent of the thread count.
+  // Bounded per-chunk accumulators keep the merge memory at <= kMaxChunks
+  // output copies, and the shape-only chunk layout keeps the per-element
+  // accumulation order (ascending source row) independent of the thread
+  // count (util/parallel.h, idiom (c)).
   constexpr std::size_t kMaxChunks = 16;
   const std::size_t cap_grain = (kk + kMaxChunks - 1) / kMaxChunks;
   const std::size_t grain =
@@ -229,11 +224,11 @@ void MultiplyTNStreamInto(const Matrix& a, const Matrix& b, Matrix* c) {
   for (const Matrix& slot : partial) c->Add(slot);
 }
 
-void MultiplyNTInto(const Matrix& a, const Matrix& b, Matrix* c) {
+Matrix MultiplyNT(const Matrix& a, const Matrix& b) {
   RHCHME_CHECK(a.cols() == b.cols(), "MultiplyNT: inner dims mismatch");
   const simd::KernelTable& kt = simd::Table();
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-  c->Resize(m, n);
+  Matrix c(m, n);
   // C(i,j) is a dot product of two contiguous rows; rows of C are
   // independent, so panels go straight to the pool.
   const std::size_t grain =
@@ -241,17 +236,12 @@ void MultiplyNTInto(const Matrix& a, const Matrix& b, Matrix* c) {
   util::ParallelFor(0, m, grain, [&](std::size_t r0, std::size_t r1) {
     for (std::size_t i = r0; i < r1; ++i) {
       const double* ai = a.row_ptr(i);
-      double* ci = c->row_ptr(i);
+      double* ci = c.row_ptr(i);
       for (std::size_t j = 0; j < n; ++j) {
         ci[j] = kt.dot(ai, b.row_ptr(j), k);
       }
     }
   });
-}
-
-Matrix MultiplyNT(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  MultiplyNTInto(a, b, &c);
   return c;
 }
 
@@ -296,49 +286,6 @@ std::vector<double> MultiplyVec(const Matrix& a, const std::vector<double>& x) {
                         y[i] = kt.dot(a.row_ptr(i), x.data(), a.cols());
                       }
                     });
-  return y;
-}
-
-std::vector<double> MultiplyTVec(const Matrix& a,
-                                 const std::vector<double>& x) {
-  RHCHME_CHECK(a.rows() == x.size(), "MultiplyTVec: dims mismatch");
-  const simd::KernelTable& kt = simd::Table();
-  const std::size_t kk = a.rows(), m = a.cols();
-  std::vector<double> y(m, 0.0);
-  if (kk == 0 || m == 0) return y;
-  // Same bounded per-chunk-accumulator pattern as MultiplyTNStreamInto:
-  // source-row chunks accumulate into their own m-vector, merged in chunk
-  // order. Chunk layout depends only on the shape (capped at kMaxChunks),
-  // and every y[j] sums rows in ascending order on both paths, so results
-  // are bit-identical for any pool size.
-  constexpr std::size_t kMaxChunks = 16;
-  const std::size_t cap_grain = (kk + kMaxChunks - 1) / kMaxChunks;
-  const std::size_t grain = std::max(util::GrainForWork(2 * m + 1), cap_grain);
-  const std::size_t nchunks = (kk + grain - 1) / grain;
-  if (nchunks <= 1) {
-    for (std::size_t i = 0; i < kk; ++i) {
-      const double xi = x[i];
-      if (xi == 0.0) continue;
-      kt.axpy(xi, a.row_ptr(i), y.data(), m);
-    }
-    return y;
-  }
-  std::vector<std::vector<double>> partial(nchunks);
-  util::ParallelFor(0, kk, grain, [&](std::size_t b0, std::size_t e0) {
-    for (std::size_t cb = b0; cb < e0; cb += grain) {
-      std::vector<double>& slot = partial[cb / grain];
-      slot.assign(m, 0.0);
-      const std::size_t ce = std::min(e0, cb + grain);
-      for (std::size_t i = cb; i < ce; ++i) {
-        const double xi = x[i];
-        if (xi == 0.0) continue;
-        kt.axpy(xi, a.row_ptr(i), slot.data(), m);
-      }
-    }
-  });
-  for (const std::vector<double>& slot : partial) {
-    kt.add(y.data(), slot.data(), m);
-  }
   return y;
 }
 

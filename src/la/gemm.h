@@ -35,7 +35,8 @@ namespace la {
 /// C = A * B. Requires a.cols() == b.rows().
 Matrix Multiply(const Matrix& a, const Matrix& b);
 
-/// C = Aᵀ * B. Requires a.rows() == b.rows().
+/// C = Aᵀ * B. Requires a.rows() == b.rows(). Materialises Aᵀ first —
+/// fastest for the general case, but costs an A-sized temporary.
 Matrix MultiplyTN(const Matrix& a, const Matrix& b);
 
 /// C = A * Bᵀ. Requires a.cols() == b.cols().
@@ -43,10 +44,6 @@ Matrix MultiplyNT(const Matrix& a, const Matrix& b);
 
 /// Writes A * B into `c` (resized as needed).
 void MultiplyInto(const Matrix& a, const Matrix& b, Matrix* c);
-
-/// Writes Aᵀ * B into `c` (resized as needed). Materialises Aᵀ first —
-/// fastest for the general case, but costs an A-sized temporary.
-void MultiplyTNInto(const Matrix& a, const Matrix& b, Matrix* c);
 
 /// Writes Aᵀ * B into `c` without materialising Aᵀ: source-row chunks of
 /// A/B accumulate into per-chunk (a.cols() x b.cols()) buffers that are
@@ -57,22 +54,12 @@ void MultiplyTNInto(const Matrix& a, const Matrix& b, Matrix* c);
 /// only n x n temporary of the iteration.
 void MultiplyTNStreamInto(const Matrix& a, const Matrix& b, Matrix* c);
 
-/// Writes A * Bᵀ into `c` (resized as needed).
-void MultiplyNTInto(const Matrix& a, const Matrix& b, Matrix* c);
-
 /// Gram matrix AᵀA (symmetric; computes the upper triangle in parallel
 /// row panels and mirrors).
 Matrix Gram(const Matrix& a);
 
 /// y = A * x. Requires a.cols() == x.size().
 std::vector<double> MultiplyVec(const Matrix& a, const std::vector<double>& x);
-
-/// y = Aᵀ * x. Requires a.rows() == x.size(). Source-row chunks scatter
-/// into bounded per-chunk accumulators (<= 16 output copies) merged in
-/// chunk order — the same pattern as MultiplyTNStreamInto — so results
-/// are bit-identical for any pool size.
-std::vector<double> MultiplyTVec(const Matrix& a,
-                                 const std::vector<double>& x);
 
 /// tr(Aᵀ B) = sum of the entrywise product — the Frobenius inner product.
 /// Cheaper than forming the product when only the trace is needed.

@@ -26,9 +26,8 @@
 // give each chunk its own accumulator slot indexed by
 // (chunk_begin - begin) / grain — recoverable inside fused calls because
 // chunk starts are grain-aligned — and merge the slots in chunk order
-// after the barrier. SparseMatrix::MultiplyTransposedDenseInto's scatter
-// fallback is the reference implementation of (c). No atomics touch user
-// accumulators.
+// after the barrier. la::MultiplyTNStreamInto is the reference
+// implementation of (c). No atomics touch user accumulators.
 //
 // Nested parallel regions run serially: a ParallelFor issued from inside
 // a worker executes inline on that worker. Coarse task fan-out (e.g. the

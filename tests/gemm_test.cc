@@ -149,8 +149,6 @@ TEST(Gemm, VectorProducts) {
   Matrix a = Matrix::FromRows({{1, 2, 3}, {4, 5, 6}});
   std::vector<double> x = {1, 1, 1};
   EXPECT_EQ(MultiplyVec(a, x), (std::vector<double>{6, 15}));
-  std::vector<double> y = {1, 2};
-  EXPECT_EQ(MultiplyTVec(a, y), (std::vector<double>{9, 12, 15}));
 }
 
 TEST(Gemm, FrobeniusInnerMatchesTrace) {
@@ -277,40 +275,6 @@ TEST(Gemm, FrobeniusInnerIgnoresRowPadding) {
     for (std::size_t j = 0; j < a.cols(); ++j) expected += a(i, j) * b(i, j);
   }
   EXPECT_NEAR(FrobeniusInner(a, b), expected, 1e-12);
-}
-
-TEST(Gemm, MultiplyTVecMatchesNaiveOnLargeInput) {
-  Rng rng(43);
-  const std::size_t rows = 700, cols = 41;
-  Matrix a = Matrix::RandomNormal(rows, cols, &rng);
-  std::vector<double> x(rows);
-  for (double& v : x) v = rng.Uniform(-1.0, 1.0);
-  std::vector<double> naive(cols, 0.0);
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < cols; ++j) naive[j] += x[i] * a(i, j);
-  }
-  std::vector<double> got = MultiplyTVec(a, x);
-  ASSERT_EQ(got.size(), cols);
-  for (std::size_t j = 0; j < cols; ++j) {
-    EXPECT_NEAR(got[j], naive[j], 1e-9) << "j=" << j;
-  }
-}
-
-TEST(Gemm, MultiplyTVecIsBitStableAcrossThreadCounts) {
-  Rng rng(44);
-  Matrix a = Matrix::RandomNormal(900, 60, &rng);
-  std::vector<double> x(900);
-  for (double& v : x) v = rng.Normal(0.0, 1.0);
-  auto run = [&](int threads) {
-    ScopedNumThreads scoped(threads);
-    return MultiplyTVec(a, x);
-  };
-  const std::vector<double> serial = run(1);
-  const std::vector<double> pooled = run(4);
-  ASSERT_EQ(serial.size(), pooled.size());
-  for (std::size_t j = 0; j < serial.size(); ++j) {
-    EXPECT_EQ(serial[j], pooled[j]) << "j=" << j;
-  }
 }
 
 }  // namespace

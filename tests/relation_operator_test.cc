@@ -58,8 +58,9 @@ TEST(JointR, IsSymmetricInBothBuildsIncludingAfterSanitising) {
     EXPECT_EQ(la::MaxAbsDiff(dense, dense.Transposed()), 0.0)
         << "corrupted=" << corrupted;
     EXPECT_TRUE(csr.IsSymmetric(0.0)) << "corrupted=" << corrupted;
-    EXPECT_EQ(la::MaxAbsDiff(csr.ToDense(), csr.Transposed().ToDense()), 0.0);
-    EXPECT_EQ(la::MaxAbsDiff(csr.ToDense(), dense), 0.0);
+    const la::Matrix csr_dense = csr.ToDense();
+    EXPECT_EQ(la::MaxAbsDiff(csr_dense, csr_dense.Transposed()), 0.0);
+    EXPECT_EQ(la::MaxAbsDiff(csr_dense, dense), 0.0);
   }
 }
 

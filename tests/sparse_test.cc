@@ -1,7 +1,6 @@
-// Unit tests for the CSR SparseMatrix and its CSC mirror: build/round-trip
-// correctness, transposed products on both the gather (CSC) and scatter
-// (per-chunk accumulator) paths, mutation-triggered mirror invalidation,
-// and bit-stability of the products across thread counts.
+// Unit tests for the CSR SparseMatrix: build/round-trip correctness,
+// products and reductions against the dense kernels, value semantics of
+// copies, and bit-stability across thread counts.
 
 #include "la/sparse.h"
 
@@ -77,28 +76,6 @@ TEST(Sparse, Density) {
   EXPECT_DOUBLE_EQ(m.Density(), 2.0 / 20.0);
 }
 
-TEST(Sparse, TransposeMatchesDense) {
-  Rng rng(2);
-  Matrix dense = Matrix::RandomUniform(5, 8, &rng);
-  dense.Apply([](double v) { return v < 0.5 ? 0.0 : v; });
-  SparseMatrix sparse = SparseMatrix::FromDense(dense);
-  EXPECT_LT(MaxAbsDiff(sparse.Transposed().ToDense(), dense.Transposed()),
-            1e-15);
-}
-
-TEST(Sparse, MultiplyVecMatchesDense) {
-  Rng rng(3);
-  Matrix dense = Matrix::RandomUniform(7, 4, &rng);
-  dense.Apply([](double v) { return v < 0.4 ? 0.0 : v; });
-  SparseMatrix sparse = SparseMatrix::FromDense(dense);
-  std::vector<double> x = {1.0, -2.0, 0.5, 3.0};
-  std::vector<double> expected = MultiplyVec(dense, x);
-  std::vector<double> got = sparse.MultiplyVec(x);
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_NEAR(got[i], expected[i], 1e-12);
-  }
-}
-
 TEST(Sparse, MultiplyDenseMatchesDense) {
   Rng rng(4);
   Matrix a = Matrix::RandomUniform(6, 5, &rng);
@@ -106,17 +83,6 @@ TEST(Sparse, MultiplyDenseMatchesDense) {
   Matrix b = Matrix::RandomNormal(5, 3, &rng);
   SparseMatrix sparse = SparseMatrix::FromDense(a);
   EXPECT_LT(MaxAbsDiff(sparse.MultiplyDense(b), Multiply(a, b)), 1e-12);
-}
-
-TEST(Sparse, MultiplyTransposedDenseMatchesDense) {
-  Rng rng(5);
-  Matrix a = Matrix::RandomUniform(6, 5, &rng);
-  a.Apply([](double v) { return v < 0.5 ? 0.0 : v; });
-  Matrix b = Matrix::RandomNormal(6, 2, &rng);
-  SparseMatrix sparse = SparseMatrix::FromDense(a);
-  Matrix got;
-  sparse.MultiplyTransposedDenseInto(b, &got);
-  EXPECT_LT(MaxAbsDiff(got, Multiply(a.Transposed(), b)), 1e-12);
 }
 
 TEST(Sparse, RowNormsSquaredMatchDense) {
@@ -150,12 +116,6 @@ TEST(Sparse, RowSumsMatchDense) {
   for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(got[i], expected[i], 1e-12);
 }
 
-TEST(Sparse, NormAndSum) {
-  SparseMatrix m = SparseMatrix::FromTriplets(2, 2, {{0, 0, 3.0}, {1, 1, 4.0}});
-  EXPECT_DOUBLE_EQ(m.FrobeniusNorm(), 5.0);
-  EXPECT_DOUBLE_EQ(m.Sum(), 7.0);
-}
-
 TEST(Sparse, SymmetryCheck) {
   SparseMatrix sym = SparseMatrix::FromTriplets(
       3, 3, {{0, 1, 2.0}, {1, 0, 2.0}, {2, 2, 1.0}});
@@ -179,170 +139,6 @@ TEST(Sparse, UnsortedTripletsAreOrdered) {
   }
   EXPECT_EQ(m.At(0, 0), 3.0);
   EXPECT_EQ(m.At(0, 2), 2.0);
-}
-
-TEST(SparseCsc, MirrorIsLazyAndCached) {
-  SparseMatrix m = SparseMatrix::FromTriplets(
-      3, 4, {{0, 1, 2.0}, {2, 3, -1.0}, {1, 0, 5.0}});
-  EXPECT_FALSE(m.HasCscMirror());
-  const CscMirror& csc = m.BuildCscMirror();
-  EXPECT_TRUE(m.HasCscMirror());
-  EXPECT_EQ(&csc, &m.BuildCscMirror());  // Second call reuses the cache.
-}
-
-TEST(SparseCsc, RoundTripMatchesCsr) {
-  Matrix dense = RandomSparseDense(7, 5, 0.4, 31);
-  SparseMatrix sparse = SparseMatrix::FromDense(dense);
-  const CscMirror& csc = sparse.BuildCscMirror();
-  ASSERT_EQ(csc.col_ptr.size(), 6u);
-  ASSERT_EQ(csc.row_idx.size(), sparse.nnz());
-  EXPECT_EQ(csc.col_ptr.front(), 0u);
-  EXPECT_EQ(csc.col_ptr.back(), sparse.nnz());
-  // Rebuild the dense matrix column by column; rows must ascend within
-  // each column (the order the deterministic gather loops rely on).
-  Matrix rebuilt(7, 5);
-  for (std::size_t c = 0; c < 5; ++c) {
-    for (std::size_t k = csc.col_ptr[c]; k < csc.col_ptr[c + 1]; ++k) {
-      if (k > csc.col_ptr[c]) {
-        EXPECT_LT(csc.row_idx[k - 1], csc.row_idx[k]);
-      }
-      rebuilt(csc.row_idx[k], c) = csc.values[k];
-    }
-  }
-  EXPECT_EQ(MaxAbsDiff(rebuilt, dense), 0.0);
-}
-
-TEST(SparseCsc, EmptyAndRaggedShapes) {
-  SparseMatrix empty;
-  EXPECT_EQ(empty.BuildCscMirror().col_ptr.size(), 1u);
-
-  // Ragged occupancy: empty rows, empty columns, a full row.
-  SparseMatrix ragged = SparseMatrix::FromTriplets(
-      4, 3, {{1, 0, 1.0}, {1, 1, 2.0}, {1, 2, 3.0}, {3, 1, 4.0}});
-  const CscMirror& csc = ragged.BuildCscMirror();
-  ASSERT_EQ(csc.col_ptr.size(), 4u);
-  EXPECT_EQ(csc.col_ptr[1] - csc.col_ptr[0], 1u);  // Column 0: one entry.
-  EXPECT_EQ(csc.col_ptr[2] - csc.col_ptr[1], 2u);  // Column 1: two.
-  Matrix b = Matrix::FromRows({{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0},
-                               {7.0, 8.0}});
-  Matrix got;
-  ragged.MultiplyTransposedDenseInto(b, &got);
-  EXPECT_LT(MaxAbsDiff(got, Multiply(ragged.ToDense().Transposed(), b)),
-            1e-12);
-
-  // Zero-row / zero-column shapes keep the product well-defined.
-  SparseMatrix no_rows = SparseMatrix::FromTriplets(0, 3, {});
-  Matrix empty_b(0, 2);
-  no_rows.MultiplyTransposedDenseInto(empty_b, &got);
-  EXPECT_EQ(got.rows(), 3u);
-  EXPECT_EQ(got.MaxAbs(), 0.0);
-}
-
-TEST(SparseCsc, TransposedProductGatherMatchesDense) {
-  Matrix a = RandomSparseDense(9, 6, 0.5, 32);
-  Matrix b = RandomSparseDense(9, 4, 1.0, 33);
-  SparseMatrix sparse = SparseMatrix::FromDense(a);
-  sparse.BuildCscMirror();
-  Matrix got;
-  sparse.MultiplyTransposedDenseInto(b, &got);
-  EXPECT_LT(MaxAbsDiff(got, Multiply(a.Transposed(), b)), 1e-12);
-}
-
-TEST(SparseCsc, TransposedProductBitStableAcrossThreadCounts) {
-  // Both the gather path (mirror built) and the scatter fallback must be
-  // bit-identical for any pool size — the chunk layouts derive from the
-  // matrix shape only.
-  Matrix a = RandomSparseDense(153, 47, 0.2, 34);
-  Matrix b = RandomSparseDense(153, 9, 1.0, 35);
-  for (bool with_mirror : {false, true}) {
-    SparseMatrix sparse = SparseMatrix::FromDense(a);
-    if (with_mirror) sparse.BuildCscMirror();
-    Matrix serial, threaded;
-    {
-      ScopedNumThreads threads(1);
-      sparse.MultiplyTransposedDenseInto(b, &serial);
-    }
-    {
-      ScopedNumThreads threads(8);
-      sparse.MultiplyTransposedDenseInto(b, &threaded);
-    }
-    EXPECT_EQ(MaxAbsDiff(serial, threaded), 0.0)
-        << "mirror=" << with_mirror;
-  }
-}
-
-TEST(SparseCsc, MultiplyTVecMatchesDenseOnBothPaths) {
-  Matrix a = RandomSparseDense(11, 7, 0.4, 36);
-  SparseMatrix sparse = SparseMatrix::FromDense(a);
-  Rng rng(37);
-  std::vector<double> x(11);
-  for (double& v : x) v = rng.Uniform(-2.0, 2.0);
-  std::vector<double> expected = MultiplyVec(a.Transposed(), x);
-
-  std::vector<double> scatter = sparse.MultiplyTVec(x);  // No mirror yet.
-  sparse.BuildCscMirror();
-  std::vector<double> gather = sparse.MultiplyTVec(x);
-  ASSERT_EQ(scatter.size(), 7u);
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_NEAR(scatter[i], expected[i], 1e-12);
-    EXPECT_NEAR(gather[i], expected[i], 1e-12);
-  }
-}
-
-TEST(SparseCsc, TransposedUsesAndCarriesMirror) {
-  Matrix a = RandomSparseDense(8, 5, 0.5, 38);
-  SparseMatrix sparse = SparseMatrix::FromDense(a);
-  sparse.BuildCscMirror();
-  SparseMatrix t = sparse.Transposed();
-  // The transpose ships with the original CSR as its ready-made mirror.
-  EXPECT_TRUE(t.HasCscMirror());
-  EXPECT_EQ(MaxAbsDiff(t.ToDense(), a.Transposed()), 0.0);
-  EXPECT_EQ(MaxAbsDiff(t.Transposed().ToDense(), a), 0.0);
-}
-
-TEST(SparseCsc, ColSumsMatchDenseOnBothPaths) {
-  Matrix a = RandomSparseDense(10, 6, 0.4, 39);
-  SparseMatrix sparse = SparseMatrix::FromDense(a);
-  std::vector<double> expected = a.Transposed().RowSums();
-  std::vector<double> scatter = sparse.ColSums();
-  sparse.BuildCscMirror();
-  std::vector<double> gather = sparse.ColSums();
-  for (std::size_t c = 0; c < 6; ++c) {
-    EXPECT_NEAR(scatter[c], expected[c], 1e-12);
-    // Identical summation order on both paths — exact agreement.
-    EXPECT_EQ(gather[c], scatter[c]);
-  }
-}
-
-TEST(SparseCsc, ScaleInvalidatesMirror) {
-  SparseMatrix m = SparseMatrix::FromTriplets(
-      2, 2, {{0, 0, 1.0}, {0, 1, 2.0}, {1, 1, 3.0}});
-  m.BuildCscMirror();
-  m.Scale(2.0);
-  EXPECT_FALSE(m.HasCscMirror());
-  EXPECT_EQ(m.At(0, 1), 4.0);
-  // The rebuilt mirror sees the new values.
-  Matrix b = Matrix::FromRows({{1.0}, {1.0}});
-  Matrix got;
-  m.BuildCscMirror();
-  m.MultiplyTransposedDenseInto(b, &got);
-  EXPECT_DOUBLE_EQ(got(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(got(1, 0), 10.0);
-}
-
-TEST(SparseCsc, PruneSmallInvalidatesMirrorAndDropsEntries) {
-  SparseMatrix m = SparseMatrix::FromTriplets(
-      3, 3, {{0, 0, 1.0}, {0, 2, 1e-14}, {1, 1, -2.0}, {2, 0, 1e-15}});
-  m.BuildCscMirror();
-  EXPECT_EQ(m.PruneSmall(1e-12), 2u);
-  EXPECT_FALSE(m.HasCscMirror());
-  EXPECT_EQ(m.nnz(), 2u);
-  EXPECT_EQ(m.At(0, 2), 0.0);
-  EXPECT_EQ(m.At(0, 0), 1.0);
-  EXPECT_EQ(m.At(1, 1), -2.0);
-  // Row offsets stay consistent after compaction.
-  EXPECT_EQ(m.row_offsets().back(), 2u);
-  EXPECT_EQ(m.BuildCscMirror().col_ptr.back(), 2u);
 }
 
 // ---- ±-split and Sandwich (memory-lean solver algebra) ---------------------
@@ -397,16 +193,14 @@ TEST(Sparse, SandwichIsBitStableAcrossThreadCounts) {
   EXPECT_EQ(run(1), run(4));
 }
 
-TEST(SparseCsc, CopySharesMirrorAndMutationDetaches) {
-  Matrix a = RandomSparseDense(6, 6, 0.5, 40);
-  SparseMatrix original = SparseMatrix::FromDense(a);
-  original.BuildCscMirror();
+TEST(Sparse, CopyIsDeep) {
+  SparseMatrix original = SparseMatrix::FromTriplets(
+      2, 2, {{0, 0, std::nan("")}, {1, 1, 2.0}});
   SparseMatrix copy = original;
-  EXPECT_TRUE(copy.HasCscMirror());
-  // Mutating the original must not disturb the copy's mirror or values.
-  original.Scale(0.0);
-  EXPECT_TRUE(copy.HasCscMirror());
-  EXPECT_EQ(MaxAbsDiff(copy.ToDense(), a), 0.0);
+  // Mutating the original must not reach the copy's values.
+  EXPECT_EQ(original.ReplaceNonFinite(0.0), 1u);
+  EXPECT_TRUE(std::isnan(copy.At(0, 0)));
+  EXPECT_EQ(copy.At(1, 1), 2.0);
 }
 
 }  // namespace
