@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "la/gemm.h"
+#include "la/simd.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace rhchme {
@@ -40,52 +42,44 @@ void ProjectFeasible(la::Matrix* w) {
 
 namespace {
 
-/// J₂ evaluated from a precomputed W·Q (avoids the n³ re-multiply).
-/// `eta` adds the optional affine penalty eta·||W·1 − 1||².
-double ObjectiveFromWq(const la::Matrix& w, const la::Matrix& gram,
-                       const la::Matrix& wq, double gamma, double eta) {
-  double tr_q = gram.Trace();
-  double tr_wq = 0.0;
-  for (std::size_t i = 0; i < w.rows(); ++i) tr_wq += wq(i, i);
-  const double tr_wqwt = la::FrobeniusInner(wq, w);
-  double sparsity = 0.0;
-  for (double cs : w.ColSums()) sparsity += cs * cs;
-  double affine = 0.0;
-  if (eta > 0.0) {
-    for (double rs : w.RowSums()) affine += (rs - 1.0) * (rs - 1.0);
+/// Upper bound on the chunks of sweep A. Each chunk owns one row of
+/// column sums of d, merged in chunk order after the sweep, so the bound
+/// caps that merge at kMaxColSumChunks·n adds and the slot buffer well
+/// below n² doubles.
+constexpr std::size_t kMaxColSumChunks = 64;
+
+/// Per-row partial sums of one row sweep. Rows are written by exactly one
+/// chunk and reduced in row order afterwards, so every total is the same
+/// for any pool size (util/parallel.h, idiom (a)).
+struct RowPartials {
+  double v[4];
+};
+
+/// Sweep A on the entries [j0, j1) of one row of W (the caller handles the
+/// diagonal): writes d = P(W − step·grad) − W and returns the largest
+/// |P(W − grad) − W|, the row's share of the stationarity measure.
+double ProjectRow(const double* w, const double* g, double step, double* d,
+                  std::size_t j0, std::size_t j1) {
+  double stat = 0.0;
+  for (std::size_t j = j0; j < j1; ++j) {
+    const double probe = std::max(w[j] - g[j], 0.0);
+    stat = std::max(stat, std::fabs(probe - w[j]));
+    d[j] = std::max(w[j] - step * g[j], 0.0) - w[j];
   }
-  return gamma * (tr_q - 2.0 * tr_wq + tr_wqwt) + sparsity + eta * affine;
+  return stat;
 }
 
-}  // namespace
-
-double SubspaceObjective(const la::Matrix& w, const la::Matrix& gram,
-                         double gamma) {
-  // gamma * tr((I-W) Q (I-W)ᵀ) + ||1ᵀW||².
-  la::Matrix wq = la::Multiply(w, gram);
-  return ObjectiveFromWq(w, gram, wq, gamma, /*eta=*/0.0);
-}
-
-namespace {
-
-/// grad = 2·gamma·(W·Q − Q) + 2·1·(1ᵀW) + 2·eta·(W·1 − 1)·1ᵀ; reuses the
-/// caller's W·Q.
-la::Matrix Gradient(const la::Matrix& w, const la::Matrix& gram,
-                    const la::Matrix& wq, double gamma, double eta) {
-  la::Matrix g = wq;
-  g.Sub(gram);
-  g.Scale(2.0 * gamma);
-  const std::vector<double> cs = w.ColSums();
-  const std::vector<double> rs = eta > 0.0 ? w.RowSums()
-                                           : std::vector<double>();
-  for (std::size_t i = 0; i < g.rows(); ++i) {
-    double* r = g.row_ptr(i);
-    const double affine = eta > 0.0 ? 2.0 * eta * (rs[i] - 1.0) : 0.0;
-    for (std::size_t j = 0; j < g.cols(); ++j) {
-      r[j] += 2.0 * cs[j] + affine;
-    }
+/// One row of grad = 2γ(W·Q − Q) + 2·1·(1ᵀW) + 2η(W·1 − 1)·1ᵀ, where
+/// `affine` is the row's 2η(W·1 − 1) entry; `y` receives
+/// grad_new − grad_old before `g` is overwritten.
+void GradientRow(const double* wq, const double* q, const double* cs,
+                 double two_gamma, double affine, double* g, double* y,
+                 std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const double fresh = (wq[j] - q[j]) * two_gamma + (2.0 * cs[j] + affine);
+    y[j] = fresh - g[j];
+    g[j] = fresh;
   }
-  return g;
 }
 
 }  // namespace
@@ -121,58 +115,116 @@ Result<SubspaceResult> LearnSubspaceAffinity(const la::Matrix& objects,
                                            1.0 / static_cast<double>(n));
   ProjectFeasible(&w);
 
+  const la::simd::KernelTable& kt = la::simd::Table();
+  const double two_gamma = 2.0 * opts.gamma;
   const double eta = opts.affine_penalty;
+  const double tr_q = gram.Trace();
+
+  // Workspaces: every n×n buffer of the iteration is allocated here, once.
+  // W·Q is carried forward as W·Q + t·(d·Q), so d·Q is the one product of
+  // each step.
+  la::Matrix wq;
+  la::MultiplyInto(w, gram, &wq);
+  la::Matrix grad(n, n), d(n, n), dq(n, n);
+  std::vector<double> cs = w.ColSums();
+  std::vector<double> rs = eta > 0.0 ? w.RowSums() : std::vector<double>(n);
+  std::vector<double> cs_d(n), rs_d(n);
+  std::vector<RowPartials> parts(n);
+
+  // Sweep grains from each sweep's per-entry work. Sweep A's grain is
+  // also its column-sum slot size: chunk starts are grain-aligned even
+  // when the pool fuses chunks, so row i always lands in slot i / grain.
+  const std::size_t grain_a =
+      std::max(util::GrainForWork(8 * n),
+               (n + kMaxColSumChunks - 1) / kMaxColSumChunks);
+  const std::size_t grain_b = util::GrainForWork(4 * n);
+  const std::size_t grain_c = util::GrainForWork(10 * n);
+  la::Matrix cs_slots((n + grain_a - 1) / grain_a, n);
+
+  // Rebuilds grad's row i and writes y = grad_new − grad_old over dq's
+  // row i, whose d·Q entries are spent by then.
+  auto gradient_row = [&](std::size_t i) {
+    const double affine = eta > 0.0 ? 2.0 * eta * (rs[i] - 1.0) : 0.0;
+    GradientRow(wq.row_ptr(i), gram.row_ptr(i), cs.data(), two_gamma, affine,
+                grad.row_ptr(i), dq.row_ptr(i), n);
+  };
+  util::ParallelFor(0, n, grain_c, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t i = r0; i < r1; ++i) gradient_row(i);
+  });
+
   SubspaceResult out;
-  la::Matrix wq = la::Multiply(w, gram);
-  la::Matrix grad = Gradient(w, gram, wq, opts.gamma, eta);
   double step = 1.0;  // Initial BB steplength guess.
   bool converged = false;
   int it = 0;
   for (; it < opts.spg.max_iterations; ++it) {
-    // Stationarity check: ||P(W - grad) - W||_inf.
-    {
-      la::Matrix probe = w;
-      probe.AddScaled(grad, -1.0);
-      ProjectFeasible(&probe);
-      probe.Sub(w);
-      if (probe.MaxAbs() <= opts.spg.tolerance) {
-        converged = true;
-        break;
+    // Sweep A: stationarity ||P(W − grad) − W||_inf (row maxima in
+    // parts[i].v[0]) and the projected direction d = P(W − step·grad) − W,
+    // whose column sums accumulate into the row's chunk slot. P clamps
+    // negatives and zeroes the diagonal, so d's diagonal is 0 − 0.
+    util::ParallelFor(0, n, grain_a, [&](std::size_t r0, std::size_t r1) {
+      for (std::size_t i = r0; i < r1; ++i) {
+        const double* wi = w.row_ptr(i);
+        const double* gi = grad.row_ptr(i);
+        double* di = d.row_ptr(i);
+        double* slot = cs_slots.row_ptr(i / grain_a);
+        if (i % grain_a == 0) std::fill(slot, slot + n, 0.0);
+        const double stat = std::max(ProjectRow(wi, gi, step, di, 0, i),
+                                     ProjectRow(wi, gi, step, di, i + 1, n));
+        di[i] = 0.0;
+        kt.add(slot, di, n);
+        parts[i].v[0] = stat;
       }
+    });
+    double stat = 0.0;
+    for (std::size_t i = 0; i < n; ++i) stat = std::max(stat, parts[i].v[0]);
+    if (stat <= opts.spg.tolerance) {
+      converged = true;
+      break;
+    }
+    std::copy(cs_slots.row_ptr(0), cs_slots.row_ptr(0) + n, cs_d.begin());
+    for (std::size_t s = 1; s < cs_slots.rows(); ++s) {
+      kt.add(cs_d.data(), cs_slots.row_ptr(s), n);
     }
 
-    // Projected direction d = P(W - step·grad) - W.
-    la::Matrix d = w;
-    d.AddScaled(grad, -step);
-    ProjectFeasible(&d);
-    d.Sub(w);
+    // The one product of the step. The GEMM's zero probe sends the
+    // mostly-zero panels of d (W and d sparsify within ~20 steps) down
+    // its axpy path.
+    la::MultiplyInto(d, gram, &dq);
 
+    // Sweep B: per-row partials of tr(dQ), <dQ, W>, <dQ, d> and d·1.
+    util::ParallelFor(0, n, grain_b, [&](std::size_t r0, std::size_t r1) {
+      for (std::size_t i = r0; i < r1; ++i) {
+        const double* dqi = dq.row_ptr(i);
+        const double* di = d.row_ptr(i);
+        parts[i].v[0] = dqi[i];
+        parts[i].v[1] = kt.dot(dqi, w.row_ptr(i), n);
+        parts[i].v[2] = kt.dot(dqi, di, n);
+        if (eta > 0.0) {
+          double sum = 0.0;
+          for (std::size_t j = 0; j < n; ++j) sum += di[j];
+          rs_d[i] = sum;
+        }
+      }
+    });
+    double tr_dq = 0.0, fi_dq_w = 0.0, fi_dq_d = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      tr_dq += parts[i].v[0];
+      fi_dq_w += parts[i].v[1];
+      fi_dq_d += parts[i].v[2];
+    }
     // J₂ is a convex quadratic, so the line objective
     //   f(W + t·d) = f(W) + b·t + a·t²
     // is exact; the minimiser replaces the Armijo search of Algorithm 1
     // and guarantees monotone descent.
-    la::Matrix dq = la::Multiply(d, gram);
-    const std::vector<double> cs_w = w.ColSums();
-    const std::vector<double> cs_d = d.ColSums();
-    double tr_dq = 0.0;
-    for (std::size_t i = 0; i < n; ++i) tr_dq += dq(i, i);
-    const double fi_dq_w = la::FrobeniusInner(dq, w);
-    const double fi_dq_d = la::FrobeniusInner(dq, d);
-    double dot_cs = 0.0, cs_d_sq = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      dot_cs += cs_w[j] * cs_d[j];
-      cs_d_sq += cs_d[j] * cs_d[j];
-    }
-    double b = -2.0 * opts.gamma * (tr_dq - fi_dq_w) + 2.0 * dot_cs;
-    double a = opts.gamma * fi_dq_d + cs_d_sq;
+    double b = -2.0 * opts.gamma * (tr_dq - fi_dq_w) +
+               2.0 * kt.dot(cs.data(), cs_d.data(), n);
+    double a = opts.gamma * fi_dq_d + kt.dot(cs_d.data(), cs_d.data(), n);
     if (eta > 0.0) {
       // Affine term: eta·||(W + t·d)·1 − 1||² adds eta·(2t·<u, v> + t²·|v|²)
       // with u = W·1 − 1, v = d·1.
-      const std::vector<double> rs_w = w.RowSums();
-      const std::vector<double> rs_d = d.RowSums();
       double uv = 0.0, vv = 0.0;
       for (std::size_t i = 0; i < n; ++i) {
-        uv += (rs_w[i] - 1.0) * rs_d[i];
+        uv += (rs[i] - 1.0) * rs_d[i];
         vv += rs_d[i] * rs_d[i];
       }
       b += 2.0 * eta * uv;
@@ -181,24 +233,45 @@ Result<SubspaceResult> LearnSubspaceAffinity(const la::Matrix& objects,
 
     double t = 1.0;
     if (a > 0.0) t = std::clamp(-b / (2.0 * a), 1e-6, 1.0);
+    kt.axpy(t, cs_d.data(), cs.data(), n);
+    if (eta > 0.0) kt.axpy(t, rs_d.data(), rs.data(), n);
 
-    // Take the step; track s and y for the Barzilai–Borwein steplength.
-    la::Matrix s = d;
-    s.Scale(t);
-    w.Add(s);
-    la::MultiplyInto(w, gram, &wq);
-    la::Matrix grad_new = Gradient(w, gram, wq, opts.gamma, eta);
-    la::Matrix y = grad_new;
-    y.Sub(grad);
-    const double sy = la::FrobeniusInner(s, y);
-    const double ss = la::FrobeniusInner(s, s);
+    // Sweep C: take the step on W and W·Q, rebuild the gradient, and
+    // collect s·y and s·s (s = t·d) for the Barzilai–Borwein steplength
+    // plus tr(W·Q) and <W·Q, W> for the objective.
+    util::ParallelFor(0, n, grain_c, [&](std::size_t r0, std::size_t r1) {
+      for (std::size_t i = r0; i < r1; ++i) {
+        double* wi = w.row_ptr(i);
+        double* wqi = wq.row_ptr(i);
+        const double* di = d.row_ptr(i);
+        const double* dqi = dq.row_ptr(i);
+        kt.axpy(t, di, wi, n);
+        kt.axpy(t, dqi, wqi, n);
+        gradient_row(i);  // dq's row i now holds y.
+        parts[i].v[0] = t * kt.dot(di, dqi, n);
+        parts[i].v[1] = t * t * kt.dot(di, di, n);
+        parts[i].v[2] = wqi[i];
+        parts[i].v[3] = kt.dot(wqi, wi, n);
+      }
+    });
+    double sy = 0.0, ss = 0.0, tr_wq = 0.0, fi_wq_w = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      sy += parts[i].v[0];
+      ss += parts[i].v[1];
+      tr_wq += parts[i].v[2];
+      fi_wq_w += parts[i].v[3];
+    }
     step = sy > 0.0 ? std::clamp(ss / sy, opts.spg.step_min,
                                  opts.spg.step_max)
                     : opts.spg.step_max;
-    grad = std::move(grad_new);
 
+    double affine = 0.0;
+    if (eta > 0.0) {
+      for (double r : rs) affine += (r - 1.0) * (r - 1.0);
+    }
     out.objective_trace.push_back(
-        ObjectiveFromWq(w, gram, wq, opts.gamma, eta));
+        opts.gamma * (tr_q - 2.0 * tr_wq + fi_wq_w) +
+        kt.dot(cs.data(), cs.data(), n) + eta * affine);
   }
 
   // Post-processing: prune dust, symmetrise for Laplacian use.

@@ -11,6 +11,13 @@
 // gradient 2γ(W·Q − Q) + 2·1·(1ᵀW) with Q = X·Xᵀ (DESIGN.md §5.1/5.2
 // documents the deviations from the paper's typo'd formulas).
 //
+// Each SPG step runs over workspaces allocated once per call: three
+// parallel row sweeps (projected direction and stationarity; line-search
+// partials; step, gradient and Barzilai–Borwein partials) around a single
+// n×n·n×n product d·Q. W·Q is carried forward as W·Q + t·(d·Q) instead of
+// being recomputed. Cross-row sums add per-row partials in row order, so
+// results are bit-identical for any pool size.
+//
 // The point of this learner (Fig. 1): two objects far apart in Euclidean
 // space but on the same low-dimensional subspace obtain a nonzero
 // affinity, which a p-nearest-neighbour graph cannot deliver.
@@ -88,11 +95,6 @@ struct SubspaceResult {
 /// row (n x D). Requires n >= 2.
 Result<SubspaceResult> LearnSubspaceAffinity(const la::Matrix& objects,
                                              const SubspaceOptions& opts);
-
-/// The objective J₂ of Eq. 9 at W (exposed for tests: descent property,
-/// optimality checks). `gram` is X·Xᵀ.
-double SubspaceObjective(const la::Matrix& w, const la::Matrix& gram,
-                         double gamma);
 
 /// Projection of Eq. 11: zero diagonal, negatives clamped to zero.
 void ProjectFeasible(la::Matrix* w);

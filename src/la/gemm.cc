@@ -98,26 +98,61 @@ void GemmPanelNN(const Matrix& a, const Matrix& b, Matrix* c, std::size_t r0,
   const std::size_t k = a.cols();
   const std::size_t n = b.cols();
   const std::size_t npanels = (r1 - r0 + kRowPanel - 1) / kRowPanel;
+  const std::size_t ntiles = (k + kBlockK - 1) / kBlockK;
   AlignedVector<double> packa, packb;
   std::vector<std::size_t> aoff(npanels);
-  std::vector<char> sparse(npanels);
-  for (std::size_t kb = 0; kb < k; kb += kBlockK) {
+  // One probe per (panel × kBlockK) tile, taken before any product work.
+  std::vector<char> sparse(npanels * ntiles);
+  std::vector<char> rowwise(npanels);
+  for (std::size_t p = 0; p < npanels; ++p) {
+    const std::size_t p0 = r0 + p * kRowPanel;
+    const std::size_t p1 = std::min(r1, p0 + kRowPanel);
+    bool all_sparse = true;
+    for (std::size_t t = 0; t < ntiles; ++t) {
+      const std::size_t kb = t * kBlockK;
+      const bool s =
+          PanelMostlyZero(a, p0, p1, kb, std::min(k, kb + kBlockK));
+      sparse[p * ntiles + t] = s ? 1 : 0;
+      all_sparse = all_sparse && s;
+    }
+    rowwise[p] = all_sparse && n > kBlockJ ? 1 : 0;
+  }
+  // A panel whose every tile probes mostly zero (a sparse SPG direction)
+  // skips the tiling when B is wider than one column block: each row adds
+  // the B rows of its nonzeros straight into its C row, which stays in L1
+  // instead of being re-streamed once per (kBlockK slab × column block).
+  // Narrow products (the solver's n×c ones) keep the tiled loop, whose
+  // B slab stays cache-resident across the panel. Every C element still
+  // receives its terms in ascending l order through the same (exact,
+  // element-parallel) axpy, so the result is bit-identical either way.
+  for (std::size_t p = 0; p < npanels; ++p) {
+    if (!rowwise[p]) continue;
+    const std::size_t p0 = r0 + p * kRowPanel;
+    const std::size_t p1 = std::min(r1, p0 + kRowPanel);
+    for (std::size_t i = p0; i < p1; ++i) {
+      const double* ai = a.row_ptr(i);
+      double* ci = c->row_ptr(i);
+      for (std::size_t l = 0; l < k; ++l) {
+        if (ai[l] != 0.0) kt.axpy(ai[l], b.row_ptr(l), ci, n);
+      }
+    }
+  }
+  for (std::size_t t = 0; t < ntiles; ++t) {
+    const std::size_t kb = t * kBlockK;
     const std::size_t kend = std::min(k, kb + kBlockK);
     const std::size_t klen = kend - kb;
     std::size_t atotal = 0;
     for (std::size_t p = 0; p < npanels; ++p) {
+      if (sparse[p * ntiles + t]) continue;
       const std::size_t p0 = r0 + p * kRowPanel;
       const std::size_t p1 = std::min(r1, p0 + kRowPanel);
-      sparse[p] = PanelMostlyZero(a, p0, p1, kb, kend) ? 1 : 0;
-      if (!sparse[p]) {
-        const std::size_t apanels = (p1 - p0 + kt.mr - 1) / kt.mr;
-        aoff[p] = atotal;
-        atotal += apanels * klen * kt.mr;
-      }
+      const std::size_t apanels = (p1 - p0 + kt.mr - 1) / kt.mr;
+      aoff[p] = atotal;
+      atotal += apanels * klen * kt.mr;
     }
     packa.resize(atotal);
     for (std::size_t p = 0; p < npanels; ++p) {
-      if (sparse[p]) continue;
+      if (sparse[p * ntiles + t]) continue;
       const std::size_t p0 = r0 + p * kRowPanel;
       const std::size_t p1 = std::min(r1, p0 + kRowPanel);
       kt.pack_a(a.row_ptr(p0) + kb, a.stride(), p1 - p0, klen,
@@ -127,9 +162,10 @@ void GemmPanelNN(const Matrix& a, const Matrix& b, Matrix* c, std::size_t r0,
       const std::size_t jlen = std::min(n, jb + kBlockJ) - jb;
       bool b_packed = false;
       for (std::size_t p = 0; p < npanels; ++p) {
+        if (rowwise[p]) continue;
         const std::size_t p0 = r0 + p * kRowPanel;
         const std::size_t p1 = std::min(r1, p0 + kRowPanel);
-        if (sparse[p]) {
+        if (sparse[p * ntiles + t]) {
           GemmPanelSparse(kt, a, b, c, p0, p1, kb, kend, jb, jlen);
           continue;
         }

@@ -12,9 +12,11 @@
 // both operands, BLIS-style — and go through the table's register-blocked
 // microkernel; mostly-zero tiles (membership blocks) keep a zero-skipping
 // axpy path, selected per tile by a cheap density probe (Sandwich applies
-// the same probe per reduction segment of each L row). One binary carries
-// every compiled table (scalar, avx2, avx512, neon) and picks one at
-// startup by CPUID; RHCHME_FORCE_ISA / --force_isa pins the choice.
+// the same probe per reduction segment of each L row); when B is wider
+// than one column block, a row panel whose every tile probes mostly zero
+// runs that axpy path row by row over the whole reduction. One binary
+// carries every compiled table (scalar, avx2, avx512, neon) and picks one
+// at startup by CPUID; RHCHME_FORCE_ISA / --force_isa pins the choice.
 //
 // Determinism: each output row is produced by exactly one chunk and its
 // accumulation order is fixed by compile-time tile constants and the

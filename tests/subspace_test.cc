@@ -5,15 +5,136 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "data/manifolds.h"
 #include "la/gemm.h"
+#include "scoped_num_threads.h"
 #include "util/rng.h"
 
 namespace rhchme {
 namespace core {
 namespace {
+
+/// J₂ of Eq. 9 (plus the optional affine penalty eta·||W·1 − 1||²) from a
+/// precomputed W·Q.
+double ObjectiveFromWq(const la::Matrix& w, const la::Matrix& gram,
+                       const la::Matrix& wq, double gamma, double eta) {
+  double tr_wq = 0.0;
+  for (std::size_t i = 0; i < w.rows(); ++i) tr_wq += wq(i, i);
+  double sparsity = 0.0;
+  for (double cs : w.ColSums()) sparsity += cs * cs;
+  double affine = 0.0;
+  for (double rs : w.RowSums()) affine += (rs - 1.0) * (rs - 1.0);
+  return gamma * (gram.Trace() - 2.0 * tr_wq + la::FrobeniusInner(wq, w)) +
+         sparsity + eta * affine;
+}
+
+/// J₂ of Eq. 9 at W; `gram` is X·Xᵀ.
+double SubspaceObjective(const la::Matrix& w, const la::Matrix& gram,
+                         double gamma) {
+  // gamma * tr((I-W) Q (I-W)ᵀ) + ||1ᵀW||².
+  return ObjectiveFromWq(w, gram, la::Multiply(w, gram), gamma, 0.0);
+}
+
+/// grad = 2·gamma·(W·Q − Q) + 2·1·(1ᵀW) + 2·eta·(W·1 − 1)·1ᵀ.
+la::Matrix ReferenceGradient(const la::Matrix& w, const la::Matrix& gram,
+                             const la::Matrix& wq, double gamma, double eta) {
+  la::Matrix g = wq;
+  g.Sub(gram);
+  g.Scale(2.0 * gamma);
+  const std::vector<double> cs = w.ColSums();
+  const std::vector<double> rs = w.RowSums();
+  for (std::size_t i = 0; i < g.rows(); ++i) {
+    const double affine = eta > 0.0 ? 2.0 * eta * (rs[i] - 1.0) : 0.0;
+    for (std::size_t j = 0; j < g.cols(); ++j) g(i, j) += 2.0 * cs[j] + affine;
+  }
+  return g;
+}
+
+/// The SPG loop of Algorithm 1 written the direct way: fresh matrices for
+/// every intermediate and both d·Q and W·Q recomputed by a GEMM each step.
+/// Returns the raw iterate, so callers must disable pruning, top-k and
+/// symmetrisation on the library side to compare against it.
+SubspaceResult ReferenceSpg(const la::Matrix& objects,
+                            const SubspaceOptions& opts) {
+  const std::size_t n = objects.rows();
+  la::Matrix gram = la::MultiplyNT(objects, objects);
+  if (opts.normalize_rows) {
+    std::vector<double> inv_norm(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double d = std::sqrt(gram(i, i));
+      inv_norm[i] = d > 0.0 ? 1.0 / d : 0.0;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        gram(i, j) *= inv_norm[i] * inv_norm[j];
+      }
+    }
+  }
+  Rng rng(opts.seed);
+  la::Matrix w = la::Matrix::RandomUniform(n, n, &rng, 0.0,
+                                           1.0 / static_cast<double>(n));
+  ProjectFeasible(&w);
+
+  const double gamma = opts.gamma, eta = opts.affine_penalty;
+  SubspaceResult out;
+  la::Matrix wq = la::Multiply(w, gram);
+  la::Matrix grad = ReferenceGradient(w, gram, wq, gamma, eta);
+  double step = 1.0;
+  int it = 0;
+  for (; it < opts.spg.max_iterations; ++it) {
+    la::Matrix probe = w;
+    probe.AddScaled(grad, -1.0);
+    ProjectFeasible(&probe);
+    probe.Sub(w);
+    if (probe.MaxAbs() <= opts.spg.tolerance) {
+      out.converged = true;
+      break;
+    }
+    la::Matrix d = w;
+    d.AddScaled(grad, -step);
+    ProjectFeasible(&d);
+    d.Sub(w);
+
+    // Exact minimiser of the quadratic line objective f(W + t·d).
+    const la::Matrix dq = la::Multiply(d, gram);
+    const std::vector<double> cs_w = w.ColSums(), cs_d = d.ColSums();
+    const std::vector<double> rs_w = w.RowSums(), rs_d = d.RowSums();
+    double dot_cs = 0.0, cs_d_sq = 0.0, uv = 0.0, vv = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      dot_cs += cs_w[j] * cs_d[j];
+      cs_d_sq += cs_d[j] * cs_d[j];
+      uv += (rs_w[j] - 1.0) * rs_d[j];
+      vv += rs_d[j] * rs_d[j];
+    }
+    const double b = -2.0 * gamma * (dq.Trace() - la::FrobeniusInner(dq, w)) +
+                     2.0 * dot_cs + 2.0 * eta * uv;
+    const double a = gamma * la::FrobeniusInner(dq, d) + cs_d_sq + eta * vv;
+    double t = 1.0;
+    if (a > 0.0) t = std::clamp(-b / (2.0 * a), 1e-6, 1.0);
+
+    la::Matrix s = d;
+    s.Scale(t);
+    w.Add(s);
+    wq = la::Multiply(w, gram);
+    la::Matrix grad_new = ReferenceGradient(w, gram, wq, gamma, eta);
+    la::Matrix y = grad_new;
+    y.Sub(grad);
+    const double sy = la::FrobeniusInner(s, y);
+    const double ss = la::FrobeniusInner(s, s);
+    step = sy > 0.0 ? std::clamp(ss / sy, opts.spg.step_min,
+                                 opts.spg.step_max)
+                    : opts.spg.step_max;
+    grad = std::move(grad_new);
+    out.objective_trace.push_back(ObjectiveFromWq(w, gram, wq, gamma, eta));
+  }
+  out.affinity = std::move(w);
+  out.iterations = it;
+  return out;
+}
 
 TEST(ProjectFeasible, ClampsAndZeroesDiagonal) {
   la::Matrix w = la::Matrix::FromRows({{5, -1}, {2, 3}});
@@ -224,6 +345,74 @@ TEST(LearnSubspace, NegativeAffinePenaltyRejected) {
   SubspaceOptions opts;
   opts.affine_penalty = -1.0;
   EXPECT_FALSE(LearnSubspaceAffinity(la::Matrix(5, 3, 1.0), opts).ok());
+}
+
+class SubspaceMatchesReference : public ::testing::TestWithParam<double> {};
+
+TEST_P(SubspaceMatchesReference, SameIterateAndTrace) {
+  // The library carries W·Q forward as W·Q + t·(d·Q) and reduces over
+  // fused row sweeps; the direct two-GEMM loop must agree up to rounding.
+  Rng rng(21);
+  la::Matrix x = la::Matrix::RandomUniform(70, 12, &rng);
+  SubspaceOptions opts;
+  opts.affine_penalty = GetParam();
+  opts.prune_rel_tol = 0.0;
+  opts.symmetrize = false;
+  opts.spg.max_iterations = 60;
+  const SubspaceResult want = ReferenceSpg(x, opts);
+  Result<SubspaceResult> got = LearnSubspaceAffinity(x, opts);
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got.value().iterations, want.iterations);
+  EXPECT_EQ(got.value().converged, want.converged);
+  ASSERT_EQ(got.value().objective_trace.size(), want.objective_trace.size());
+  for (std::size_t i = 0; i < want.objective_trace.size(); ++i) {
+    const double ref = want.objective_trace[i];
+    EXPECT_NEAR(got.value().objective_trace[i], ref, 1e-9 * std::fabs(ref))
+        << "iteration " << i;
+  }
+  EXPECT_LE(la::MaxAbsDiff(got.value().affinity, want.affinity), 1e-10);
+}
+
+INSTANTIATE_TEST_SUITE_P(AffinePenalties, SubspaceMatchesReference,
+                         ::testing::Values(0.0, 0.5));
+
+TEST(LearnSubspace, IsBitStableAcrossThreadCounts) {
+  // n = 256 splits every row sweep (and the column-sum slots of d) into
+  // several chunks, so the pools below really schedule them differently.
+  Rng rng(22);
+  la::Matrix x = la::Matrix::RandomUniform(256, 20, &rng);
+  SubspaceOptions opts;
+  opts.affine_penalty = 0.5;
+  opts.spg.max_iterations = 20;
+  auto learn = [&](int threads) {
+    ScopedNumThreads pool(threads);
+    return LearnSubspaceAffinity(x, opts).value();
+  };
+  const SubspaceResult one = learn(1);
+  const SubspaceResult four = learn(4);
+  EXPECT_EQ(one.iterations, four.iterations);
+  EXPECT_EQ(one.objective_trace, four.objective_trace);
+  EXPECT_EQ(la::MaxAbsDiff(one.affinity, four.affinity), 0.0);
+}
+
+TEST(LearnSubspace, LargeAllocationsDoNotGrowWithIterations) {
+  Rng rng(23);
+  const std::size_t n = 48;
+  la::Matrix x = la::Matrix::RandomUniform(n, 10, &rng);
+  auto allocations_at = [&](int iterations) {
+    SubspaceOptions opts;
+    opts.spg.max_iterations = iterations;
+    opts.spg.tolerance = 1e-300;  // Run every iteration.
+    la::memstats::StartTracking(n * n);
+    Result<SubspaceResult> r = LearnSubspaceAffinity(x, opts);
+    la::memstats::StopTracking();
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.value().iterations, iterations);
+    return la::memstats::LargeAllocations();
+  };
+  const std::size_t few = allocations_at(5);
+  EXPECT_EQ(allocations_at(40), few);
+  EXPECT_GT(few, 0u);
 }
 
 class SubspaceGammaSweep : public ::testing::TestWithParam<double> {};
