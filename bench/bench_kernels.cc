@@ -91,49 +91,6 @@ void BM_Gram(benchmark::State& state) {
 }
 BENCHMARK(BM_Gram)->UseRealTime()->Arg(256)->Arg(1024);
 
-void BM_Sandwich(benchmark::State& state) {
-  // tr(Gᵀ L G) — the ensemble-regulariser term of the objective. A fully
-  // dense L: every kBlockK segment fails the zero probe, so this measures
-  // the branch-free axpy schedule.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t c = 30;
-  la::Matrix g = RandomMatrix(n, c, 13);
-  la::Matrix l = RandomMatrix(n, n, 14);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(la::Sandwich(g, l));
-  }
-  SetKernelCounters(state,
-                    2.0 * static_cast<double>(n) * n * c +
-                        2.0 * static_cast<double>(n) * c);
-}
-BENCHMARK(BM_Sandwich)->UseRealTime()->Arg(256)->Arg(1024);
-
-void BM_SandwichSparseRows(benchmark::State& state) {
-  // The same dense-storage kernel fed a pNN-sparse L (16 nnz/row, the
-  // ensemble Laplacian shape): every segment passes the zero probe and
-  // takes the zero-skip schedule. Paired with BM_Sandwich this gates the
-  // density probe in la::Sandwich from both sides.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t c = 30;
-  const std::size_t nnz_per_row = 16;
-  la::Matrix g = RandomMatrix(n, c, 13);
-  Rng rng(14);
-  la::Matrix l(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = 0; k < nnz_per_row; ++k) {
-      l(i, rng.UniformInt(n)) = rng.Uniform(0.1, 1.0);
-    }
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(la::Sandwich(g, l));
-  }
-  // Useful flops: one axpy per stored nonzero plus the trace dots.
-  SetKernelCounters(state,
-                    2.0 * static_cast<double>(n) * nnz_per_row * c +
-                        2.0 * static_cast<double>(n) * c);
-}
-BENCHMARK(BM_SandwichSparseRows)->UseRealTime()->Arg(256)->Arg(1024);
-
 // ---- SIMD primitive microbenchmarks --------------------------------------
 // Scalar-vs-SIMD pairs for the la/simd.h kernels the GEMM / distance /
 // sparse hot loops are built from. Within one binary the "Simd" variants
@@ -367,8 +324,10 @@ BENCHMARK(BM_SubspaceLearning)->UseRealTime()->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MultiplicativeIteration(benchmark::State& state) {
-  // One S-solve + one multiplicative G update, the per-iteration core of
-  // every HOCC solver here.
+  // fact::SolveCentralS + fact::MultiplicativeGUpdate on a dense n x n M:
+  // the per-iteration core of the SNMTF/RMC/SRC baselines, not RHCHME's
+  // (whose low-rank core never forms M). RHCHME solver claims cite the
+  // BM_SolverFit6* benches.
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::size_t c = 15;
   Rng rng(9);

@@ -7,6 +7,7 @@
 
 #include "core/checkpoint.h"
 #include "la/gemm.h"
+#include "la/sparse.h"
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/parallel.h"
@@ -51,26 +52,9 @@ la::Matrix RhchmeResult::ErrorMatrix() const {
 
 namespace {
 
-/// Data + ℓ2,1 terms of Eq. 15, shared by both RhchmeObjective overloads;
-/// the smoothness term is evaluated by the caller against its Laplacian
-/// representation.
-double ObjectiveDataTerms(const la::Matrix& r, const la::Matrix& g,
-                          const la::Matrix& s, const la::Matrix& error_matrix,
-                          double beta) {
-  la::Matrix residual = la::MultiplyNT(la::Multiply(g, s), g);  // G S Gᵀ
-  residual.Sub(r);
-  residual.Scale(-1.0);  // R - G S Gᵀ
-  double l21 = 0.0;
-  if (!error_matrix.empty()) {
-    residual.Sub(error_matrix);
-    l21 = error_matrix.L21Norm();
-  }
-  return residual.FrobeniusNormSquared() + beta * l21;
-}
-
-/// Residual row norms ‖q_i‖ of Q = R − G·S·Gᵀ from cached n x c state,
-/// shared by the fit loop and the sparse-R objective: with H = G·S,
-/// K = R·G and HG = H·(GᵀG), ‖q_i‖² = ‖r_i‖² − 2·h_i·k_iᵀ + h_i·HG_iᵀ.
+/// Residual row norms ‖q_i‖ of Q = R − G·S·Gᵀ from the fit loop's cached
+/// n x c state: with H = G·S, K = R·G and HG = H·(GᵀG),
+/// ‖q_i‖² = ‖r_i‖² − 2·h_i·k_iᵀ + h_i·HG_iᵀ.
 /// Each row is written by exactly one chunk in fixed order, so the norms
 /// are bit-identical for any pool size. `row_norm` must hold n entries.
 void ResidualRowNorms(const std::vector<double>& r_norm_sq,
@@ -150,59 +134,6 @@ Status TryLoadResume(const std::string& path, uint64_t fingerprint,
 }
 
 }  // namespace
-
-double RhchmeObjective(const la::Matrix& r, const la::Matrix& g,
-                       const la::Matrix& s, const la::Matrix& error_matrix,
-                       const la::Matrix& laplacian, double lambda,
-                       double beta) {
-  // tr(Gᵀ L G) without materialising the n x c product L G.
-  const double smooth = lambda != 0.0 ? la::Sandwich(g, laplacian) : 0.0;
-  return ObjectiveDataTerms(r, g, s, error_matrix, beta) + lambda * smooth;
-}
-
-double RhchmeObjective(const la::Matrix& r, const la::Matrix& g,
-                       const la::Matrix& s, const la::Matrix& error_matrix,
-                       const la::SparseMatrix& laplacian, double lambda,
-                       double beta) {
-  const double smooth = lambda != 0.0 ? la::Sandwich(g, laplacian) : 0.0;
-  return ObjectiveDataTerms(r, g, s, error_matrix, beta) + lambda * smooth;
-}
-
-double RhchmeObjective(const la::SparseMatrix& r, const la::Matrix& g,
-                       const la::Matrix& s,
-                       const std::vector<double>& error_scale,
-                       const la::SparseMatrix& laplacian, double lambda,
-                       double beta) {
-  const std::size_t n = g.rows();
-  RHCHME_CHECK(r.rows() == n && r.cols() == n,
-               "RhchmeObjective: R shape mismatch");
-  RHCHME_CHECK(error_scale.empty() || error_scale.size() == n,
-               "RhchmeObjective: error_scale size mismatch");
-  // The dense n x n residual is never formed: with H = G·S, K = R·G the
-  // residual row norms are ‖q_i‖² = ‖r_i‖² − 2·h_i·k_iᵀ + h_i·(GᵀG)·h_iᵀ,
-  // and E_R = diag(s)·Q makes the data and ℓ2,1 terms analytic —
-  // ‖Q − E_R‖²_F = Σ(1−s_i)²‖q_i‖², ‖E_R‖₂,₁ = Σ s_i‖q_i‖.
-  la::Matrix h = la::Multiply(g, s);
-  la::Matrix k = r.MultiplyDense(g);
-  la::Matrix hg = la::Multiply(h, la::Gram(g));
-  const std::vector<double> r_norm_sq = r.RowNormsSquared();
-  std::vector<double> row_norm(n, 0.0);
-  ResidualRowNorms(r_norm_sq, h, k, hg, &row_norm);
-  double data_term = 0.0;
-  double l21 = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double norm = row_norm[i];
-    if (error_scale.empty()) {
-      data_term += norm * norm;
-    } else {
-      const double keep = 1.0 - error_scale[i];
-      data_term += keep * keep * norm * norm;
-      l21 += error_scale[i] * norm;
-    }
-  }
-  const double smooth = lambda != 0.0 ? la::Sandwich(g, laplacian) : 0.0;
-  return data_term + beta * l21 + lambda * smooth;
-}
 
 Result<RhchmeResult> Rhchme::Fit(
     const data::MultiTypeRelationalData& data) const {

@@ -48,7 +48,7 @@
 #include "core/relation_operator.h"
 #include "data/multitype_data.h"
 #include "factorization/hocc_common.h"
-#include "la/sparse.h"
+#include "la/matrix.h"
 #include "util/status.h"
 
 namespace rhchme {
@@ -92,8 +92,8 @@ struct RhchmeOptions {
   /// for this single core: at it, tf-idf corpora (well below 1% fill) run
   /// on CSR and the paper's presets (20–30% fill) run dense, although
   /// BM_RelationProduct{Dense,Csr} suggests CSR may be faster there too.
-  /// Moving the cut is the open "storage cut" of ROADMAP item 2. 0 forces
-  /// dense (for a nonzero R), 1 forces CSR.
+  /// Moving the cut is the open "storage cut" item on the ROADMAP. 0
+  /// forces dense (for a nonzero R), 1 forces CSR.
   double sparse_r_density_threshold = 0.05;
 
   // ---- Checkpoint/resume (fault tolerance) -------------------------------
@@ -221,32 +221,6 @@ class Rhchme {
   RhchmeOptions opts_;
   IterationCallback callback_;
 };
-
-/// The full objective J₄ of Eq. 15 (exposed for the Theorem 1 tests).
-double RhchmeObjective(const la::Matrix& r, const la::Matrix& g,
-                       const la::Matrix& s, const la::Matrix& error_matrix,
-                       const la::Matrix& laplacian, double lambda,
-                       double beta);
-
-/// Sparse-Laplacian overload — evaluates Eq. 15 directly against a fit's
-/// `HeterogeneousEnsemble::laplacian` without densifying it.
-double RhchmeObjective(const la::Matrix& r, const la::Matrix& g,
-                       const la::Matrix& s, const la::Matrix& error_matrix,
-                       const la::SparseMatrix& laplacian, double lambda,
-                       double beta);
-
-/// Sparse-R overload — evaluates Eq. 15 against a sparse R and the
-/// factored E_R = diag(error_scale)·(R − G·S·Gᵀ) without materialising
-/// any dense n x n matrix: the residual row norms come from the analytic
-/// identity ‖q_i‖² = ‖r_i‖² − 2·h_i·k_iᵀ + h_i·(GᵀG)·h_iᵀ, so the data
-/// and ℓ2,1 terms are O(nnz + n·c²). Pass an empty `error_scale` for
-/// E_R = 0 (robust term disabled). Matches the dense overloads to
-/// rounding and a fit's objective_trace exactly in structure.
-double RhchmeObjective(const la::SparseMatrix& r, const la::Matrix& g,
-                       const la::Matrix& s,
-                       const std::vector<double>& error_scale,
-                       const la::SparseMatrix& laplacian, double lambda,
-                       double beta);
 
 }  // namespace core
 }  // namespace rhchme

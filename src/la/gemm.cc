@@ -44,16 +44,6 @@ bool PanelMostlyZero(const Matrix& a, std::size_t p0, std::size_t p1,
          kSparsePanelZeroFraction * static_cast<double>(total);
 }
 
-/// Same probe over one kBlockK-column segment of a single row — the
-/// la::Sandwich analogue of the A-tile probe. Sparse ensemble Laplacian
-/// rows (pNN graphs) sit far above the threshold; dense rows far below.
-bool SegmentMostlyZero(const double* row, std::size_t t0, std::size_t t1) {
-  std::size_t zeros = 0;
-  for (std::size_t t = t0; t < t1; ++t) zeros += (row[t] == 0.0);
-  return static_cast<double>(zeros) >=
-         kSparsePanelZeroFraction * static_cast<double>(t1 - t0);
-}
-
 /// Zero-skipping panel kernel: right for mostly-zero A tiles (membership
 /// blocks), where skipped rows save the whole B-row stream. The branch
 /// defeats vectorization of the l loop, which is why dense tiles bypass
@@ -342,51 +332,6 @@ double FrobeniusInner(const Matrix& a, const Matrix& b) {
                              }
                              return acc;
                            });
-}
-
-double Sandwich(const Matrix& g, const Matrix& l) {
-  RHCHME_CHECK(l.rows() == l.cols() && l.rows() == g.rows(),
-               "Sandwich: shape mismatch");
-  const simd::KernelTable& kt = simd::Table();
-  const std::size_t n = g.rows(), c = g.cols();
-  if (n == 0 || c == 0) return 0.0;
-  // tr(Gᵀ L G) = Σ_i (L G)(i,:) · G(i,:). Each chunk streams its rows of L
-  // against G into a c-sized scratch row, so the n x c intermediate is
-  // never materialised; ParallelSum adds the per-chunk traces in fixed
-  // chunk order. Each L row is probed per kBlockK-column segment, the
-  // same way GemmPanelNN probes A tiles: mostly-zero segments (ensemble
-  // Laplacians are pNN-sparse) take the zero-skip branch, dense segments
-  // (fused or corrupted Laplacians) drop the per-element test so every
-  // axpy issues back to back. Skipping a zero coefficient and issuing its
-  // axpy produce the same u (a 0·x term adds exactly zero), so the probe
-  // only picks between equivalent schedules — and it reads L's content
-  // alone, never the thread count.
-  const std::size_t grain =
-      std::max(std::size_t{1}, util::GrainForWork(2 * n * c));
-  return util::ParallelSum(0, n, grain, [&](std::size_t r0, std::size_t r1) {
-    std::vector<double> u(c);
-    double acc = 0.0;
-    for (std::size_t i = r0; i < r1; ++i) {
-      std::fill(u.begin(), u.end(), 0.0);
-      const double* li = l.row_ptr(i);
-      for (std::size_t tb = 0; tb < n; tb += kBlockK) {
-        const std::size_t tend = std::min(n, tb + kBlockK);
-        if (SegmentMostlyZero(li, tb, tend)) {
-          for (std::size_t t = tb; t < tend; ++t) {
-            const double lit = li[t];
-            if (lit == 0.0) continue;
-            kt.axpy(lit, g.row_ptr(t), u.data(), c);
-          }
-        } else {
-          for (std::size_t t = tb; t < tend; ++t) {
-            kt.axpy(li[t], g.row_ptr(t), u.data(), c);
-          }
-        }
-      }
-      acc += kt.dot(u.data(), g.row_ptr(i), c);
-    }
-    return acc;
-  });
 }
 
 }  // namespace la

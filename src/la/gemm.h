@@ -11,8 +11,7 @@
 // kernel table (la/simd.h, la/kernels.h): dense A tiles are packed —
 // both operands, BLIS-style — and go through the table's register-blocked
 // microkernel; mostly-zero tiles (membership blocks) keep a zero-skipping
-// axpy path, selected per tile by a cheap density probe (Sandwich applies
-// the same probe per reduction segment of each L row); when B is wider
+// axpy path, selected per tile by a cheap density probe; when B is wider
 // than one column block, a row panel whose every tile probes mostly zero
 // runs that axpy path row by row over the whole reduction. One binary
 // carries every compiled table (scalar, avx2, avx512, neon) and picks one
@@ -66,12 +65,6 @@ std::vector<double> MultiplyVec(const Matrix& a, const std::vector<double>& x);
 /// tr(Aᵀ B) = sum of the entrywise product — the Frobenius inner product.
 /// Cheaper than forming the product when only the trace is needed.
 double FrobeniusInner(const Matrix& a, const Matrix& b);
-
-/// tr(Gᵀ L G) without materialising L G: each chunk streams rows of L
-/// against G into a c-sized scratch row, and per-row traces are reduced in
-/// fixed order. Requires L square with l.rows() == g.rows(). This is the
-/// ensemble-regulariser term of the RHCHME objective (paper Eq. 16).
-double Sandwich(const Matrix& g, const Matrix& l);
 
 }  // namespace la
 }  // namespace rhchme

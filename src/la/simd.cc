@@ -61,10 +61,14 @@ bool CpuSupports(const KernelTable& table, const CpuFeatures& f) {
 }
 
 /// Publishes `table` as the dispatched table and logs the decision once.
-/// Caller holds ResolveMutex().
+/// The NEON table compiles on aarch64 but no CI leg has ever run it, so
+/// the log says so. Caller holds ResolveMutex().
 const KernelTable* Publish(const KernelTable* table, const char* how) {
+  const bool unverified = std::strcmp(table->name, "neon") == 0;
   RHCHME_LOG(kInfo) << "simd: dispatching kernel table '" << table->name
-                    << "' (" << how << "; detected '" << DetectedIsaName()
+                    << "'"
+                    << (unverified ? " (unverified: no arm64 CI leg)" : "")
+                    << " (" << how << "; detected '" << DetectedIsaName()
                     << "')";
   g_table.store(table, std::memory_order_release);
   return table;

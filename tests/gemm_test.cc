@@ -195,31 +195,6 @@ TEST(Gemm, StreamingTNIsBitStableAcrossThreadCounts) {
   EXPECT_EQ(MaxAbsDiff(run(1), run(4)), 0.0);
 }
 
-TEST(Gemm, SandwichMatchesExplicitTrace) {
-  Rng rng(17);
-  Matrix g = Matrix::RandomNormal(23, 4, &rng);
-  Matrix l = Matrix::RandomNormal(23, 23, &rng);
-  // tr(Gᵀ L G) via the explicit product chain.
-  const double expected = MultiplyTN(g, Multiply(l, g)).Trace();
-  EXPECT_NEAR(Sandwich(g, l), expected, 1e-9);
-}
-
-TEST(Gemm, SandwichOfLaplacianLikeMatrixIsNonNegative) {
-  // For L = D - W (diagonally dominant PSD), tr(GᵀLG) >= 0.
-  Matrix w = Matrix::FromRows({{0, 1, 2}, {1, 0, 1}, {2, 1, 0}});
-  std::vector<double> deg = w.RowSums();
-  Matrix l = Matrix::Diagonal(deg);
-  l.Sub(w);
-  Rng rng(23);
-  Matrix g = Matrix::RandomNormal(3, 2, &rng);
-  EXPECT_GE(Sandwich(g, l), -1e-12);
-}
-
-TEST(Gemm, SandwichEmptyIsZero) {
-  EXPECT_EQ(Sandwich(Matrix(), Matrix()), 0.0);
-  EXPECT_EQ(Sandwich(Matrix(4, 0), Matrix(4, 4)), 0.0);
-}
-
 TEST(Gemm, SparseInputsShortCircuit) {
   // Zero blocks must not pollute the result (the kernels skip zeros).
   Matrix a(30, 30);

@@ -18,6 +18,7 @@
 #include "factorization/hocc_common.h"
 #include "la/gemm.h"
 #include "la/matrix.h"
+#include "la/sparse.h"
 #include "scoped_num_threads.h"
 
 namespace rhchme {
@@ -335,6 +336,26 @@ struct ReferenceFit {
   la::Matrix error;  ///< Dense E_R (empty when the robust term is off).
 };
 
+/// Eq. 15 scored elementwise: forms R − G·S·Gᵀ − E explicitly, then adds
+/// beta·‖E‖₂,₁ and lambda·tr(Gᵀ·L·G) with L densified from the ensemble's
+/// CSR Laplacian. An empty E stands for E_R = 0 (robust term off).
+double DenseObjective(const la::Matrix& r, const la::Matrix& g,
+                      const la::Matrix& s, const la::Matrix& e,
+                      const la::SparseMatrix& laplacian, double lambda,
+                      double beta) {
+  la::Matrix resid = la::MultiplyNT(la::Multiply(g, s), g);
+  resid.Scale(-1.0);
+  resid.Add(r);
+  double l21 = 0.0;
+  if (!e.empty()) {
+    resid.Sub(e);
+    l21 = e.L21Norm();
+  }
+  const double smooth =
+      la::FrobeniusInner(la::Multiply(laplacian.ToDense(), g), g);
+  return resid.FrobeniusNormSquared() + beta * l21 + lambda * smooth;
+}
+
 /// Algorithm 2 the straightforward way: every iteration materialises
 /// M = R − E_R, runs the library's dense update kernels
 /// (fact::SolveCentralS, fact::MultiplicativeGUpdate), forms the residual
@@ -375,8 +396,8 @@ ReferenceFit ReferenceLoop(const data::MultiTypeRelationalData& d,
       }
     }
     out.objective_trace.push_back(
-        RhchmeObjective(r, out.g, out.s, out.error, ensemble.laplacian,
-                        opts.lambda, opts.beta));
+        DenseObjective(r, out.g, out.s, out.error, ensemble.laplacian,
+                       opts.lambda, opts.beta));
   }
   return out;
 }
@@ -618,44 +639,38 @@ TEST(RhchmeCore, CsrObjectiveMonotonicallyDecreases) {
   }
 }
 
-/// The standalone sparse-R objective overload, fed a CSR fit's own
-/// factors, must reproduce the solver's last trace entry.
-TEST(RhchmeObjective, SparseROverloadMatchesFitTrace) {
+/// The fit's analytic Eq. 15 — its last objective_trace entry — matches
+/// DenseObjective on the fit's own factors and rebuilt E_R, on both R
+/// stores and with the robust term off.
+TEST(RhchmeCore, FinalTraceMatchesDenseObjective) {
+  struct Case {
+    const char* name;
+    double density_threshold;
+    bool use_error_matrix;
+  };
+  const Case cases[] = {
+      {"dense store", kDenseStorage, true},
+      {"CSR store", kCsrStorage, true},
+      {"robust term off", kDenseStorage, false},
+  };
   data::MultiTypeRelationalData d = SmallData();
-  RhchmeOptions opts = FastOptions();
-  opts.sparse_r_density_threshold = kCsrStorage;
-  opts.max_iterations = 8;
-  opts.tolerance = 0.0;
-  Rhchme solver(opts);
-  Result<RhchmeResult> r = solver.Fit(d);
-  ASSERT_TRUE(r.ok());
-  const RhchmeResult& res = r.value();
-  const double objective = RhchmeObjective(
-      d.BuildJointRSparse(), res.hocc.g, res.hocc.s, res.error_scale,
-      res.ensemble.laplacian, opts.lambda, opts.beta);
-  const double traced = res.hocc.objective_trace.back();
-  EXPECT_NEAR(objective, traced, 1e-8 * std::fabs(traced));
-}
-
-/// And with the robust term off, the overload's E_R = 0 form must match
-/// the dense no-error objective.
-TEST(RhchmeObjective, SparseROverloadMatchesDenseWithoutError) {
-  data::MultiTypeRelationalData d = SmallData();
-  RhchmeOptions opts = FastOptions();
-  opts.use_error_matrix = false;
-  opts.max_iterations = 5;
-  opts.tolerance = 0.0;
-  Rhchme solver(opts);
-  Result<RhchmeResult> r = solver.Fit(d);
-  ASSERT_TRUE(r.ok());
-  const RhchmeResult& res = r.value();
-  const double sparse_obj = RhchmeObjective(
-      d.BuildJointRSparse(), res.hocc.g, res.hocc.s, {},
-      res.ensemble.laplacian, opts.lambda, opts.beta);
-  const double dense_obj = RhchmeObjective(
-      d.BuildJointR(), res.hocc.g, res.hocc.s, la::Matrix(),
-      res.ensemble.laplacian, opts.lambda, opts.beta);
-  EXPECT_NEAR(sparse_obj, dense_obj, 1e-8 * std::fabs(dense_obj));
+  const la::Matrix r = d.BuildJointR();
+  for (const Case& c : cases) {
+    RhchmeOptions opts = FastOptions();
+    opts.sparse_r_density_threshold = c.density_threshold;
+    opts.use_error_matrix = c.use_error_matrix;
+    opts.max_iterations = 8;
+    opts.tolerance = 0.0;
+    Result<RhchmeResult> fit = Rhchme(opts).Fit(d);
+    ASSERT_TRUE(fit.ok()) << c.name;
+    const RhchmeResult& res = fit.value();
+    const double want =
+        DenseObjective(r, res.hocc.g, res.hocc.s, res.ErrorMatrix(),
+                       res.ensemble.laplacian, opts.lambda, opts.beta);
+    EXPECT_NEAR(res.hocc.objective_trace.back(), want,
+                1e-8 * std::fabs(want))
+        << c.name;
+  }
 }
 
 // ---- ErrorMatrix thread-safety ---------------------------------------------
@@ -683,42 +698,6 @@ TEST(RhchmeResult, ErrorMatrixIsSafeUnderConcurrentConstReads) {
   }
   // The rebuilt matrix matches the factored form.
   EXPECT_EQ(la::MaxAbsDiff(seen[0], FactoredErrorMatrix(d, res)), 0.0);
-}
-
-TEST(RhchmeObjective, SparseOverloadMatchesFinalTraceValue) {
-  // The public Eq. 15 helper, fed the fit's own factors and its sparse
-  // ensemble Laplacian, must reproduce the solver's last trace entry.
-  data::MultiTypeRelationalData d = SmallData();
-  RhchmeOptions opts = FastOptions();
-  opts.max_iterations = 8;
-  opts.tolerance = 0.0;
-  Rhchme solver(opts);
-  Result<RhchmeResult> r = solver.Fit(d);
-  ASSERT_TRUE(r.ok());
-  const RhchmeResult& res = r.value();
-  const double objective = RhchmeObjective(
-      d.BuildJointR(), res.hocc.g, res.hocc.s, res.ErrorMatrix(),
-      res.ensemble.laplacian, opts.lambda, opts.beta);
-  const double traced = res.hocc.objective_trace.back();
-  EXPECT_NEAR(objective, traced, 1e-8 * std::fabs(traced));
-}
-
-TEST(RhchmeObjective, MatchesManualEvaluation) {
-  Rng rng(5);
-  const std::size_t n = 10, c = 3;
-  la::Matrix r = la::Matrix::RandomUniform(n, n, &rng);
-  la::Matrix g = la::Matrix::RandomUniform(n, c, &rng);
-  la::Matrix s = la::Matrix::RandomNormal(c, c, &rng);
-  la::Matrix e = la::Matrix::RandomUniform(n, n, &rng, 0.0, 0.1);
-  la::Matrix lap = la::Matrix::Identity(n);
-  la::Matrix resid = la::MultiplyNT(la::Multiply(g, s), g);
-  resid.Scale(-1.0);
-  resid.Add(r);
-  resid.Sub(e);
-  const double expected =
-      resid.FrobeniusNormSquared() + 2.0 * e.L21Norm() +
-      3.0 * la::FrobeniusInner(la::Multiply(lap, g), g);
-  EXPECT_NEAR(RhchmeObjective(r, g, s, e, lap, 3.0, 2.0), expected, 1e-8);
 }
 
 }  // namespace

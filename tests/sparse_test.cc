@@ -165,13 +165,14 @@ TEST(Sparse, PartsOfEmptyMatrixAreEmpty) {
   EXPECT_EQ(NegativePart(m).nnz(), 0u);
 }
 
-TEST(Sparse, SandwichMatchesDenseKernel) {
+TEST(Sparse, SandwichMatchesExplicitTrace) {
   Rng rng(42);
   const std::size_t n = 24, c = 5;
   Matrix l_dense = RandomSparseDense(n, n, 0.3, 43);
   SparseMatrix l = SparseMatrix::FromDense(l_dense);
   Matrix g = Matrix::RandomUniform(n, c, &rng);
-  EXPECT_NEAR(Sandwich(g, l), Sandwich(g, l_dense), 1e-10);
+  // tr(Gᵀ L G) = <L·G, G>_F with L densified.
+  EXPECT_NEAR(Sandwich(g, l), FrobeniusInner(Multiply(l_dense, g), g), 1e-10);
 }
 
 TEST(Sparse, SandwichEmptyIsZero) {
