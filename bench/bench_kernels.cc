@@ -323,32 +323,6 @@ void BM_SubspaceLearning(benchmark::State& state) {
 BENCHMARK(BM_SubspaceLearning)->UseRealTime()->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
-void BM_MultiplicativeIteration(benchmark::State& state) {
-  // fact::SolveCentralS + fact::MultiplicativeGUpdate on a dense n x n M:
-  // the per-iteration core of the SNMTF/RMC/SRC baselines, not RHCHME's
-  // (whose low-rank core never forms M). RHCHME solver claims cite the
-  // BM_SolverFit6* benches.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t c = 15;
-  Rng rng(9);
-  la::Matrix r = la::Matrix::RandomUniform(n, n, &rng);
-  la::Matrix g = la::Matrix::RandomUniform(n, c, &rng, 0.1, 1.0);
-  la::Matrix lap = la::Matrix::Identity(n);
-  la::Matrix lap_pos = la::PositivePart(lap);
-  la::Matrix lap_neg = la::NegativePart(lap);
-  for (auto _ : state) {
-    auto s = fact::SolveCentralS(g, r, 1e-9);
-    fact::MultiplicativeGUpdate(r, s.value(), 1.0, &lap_pos, &lap_neg,
-                                1e-12, &g);
-    // lint:stride-ok(DoNotOptimize sink: pointer identity only, no element access)
-    benchmark::DoNotOptimize(g.data());
-  }
-  // Dominated by the n² x c products: M G, Mᵀ G, and the Laplacian terms.
-  SetKernelCounters(state, 8.0 * static_cast<double>(n) * n * c);
-}
-BENCHMARK(BM_MultiplicativeIteration)->UseRealTime()->Arg(256)->Arg(512)->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
-
 /// Joint R at `fill_percent`% unstructured fill, symmetrised like the
 /// solver's joint R, behind the store the relation-product benches time.
 core::RelationOperator RandomRelation(std::size_t n, int fill_percent,

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <numeric>
 
-#include "baselines/snmtf.h"
+#include "core/ensemble.h"
+#include "core/relation_operator.h"
+#include "core/rhchme_solver.h"
 #include "la/gemm.h"
+#include "la/sparse.h"
 #include "util/stopwatch.h"
 
 namespace rhchme {
@@ -67,19 +70,28 @@ Result<RmcResult> RunRmc(const data::MultiTypeRelationalData& data,
   Stopwatch watch;
 
   const fact::BlockStructure blocks = fact::BuildBlockStructure(data);
-  const la::Matrix r = data.BuildJointR();
+  const std::size_t n = blocks.total_objects();
+  // R behind the core's operator and store rule; R is symmetric, so
+  // M·G = Mᵀ·G = K = R·G, the iteration's one R product.
+  const core::RelationOperator r = core::RelationOperator::FromData(
+      data, core::RhchmeOptions().sparse_r_density_threshold);
+  const std::vector<double> r_norm_sq = r.RowNormsSquared();
 
-  // Pre-build all candidate Laplacians (this is RMC's extra cost that
-  // Table V attributes to it).
+  // Pre-build all candidate Laplacians, each a sparse pNN-only ensemble
+  // (this is RMC's extra cost that Table V attributes to it).
   const std::vector<graph::KnnGraphOptions> candidates =
       opts.candidates.empty() ? DefaultRmcCandidates() : opts.candidates;
   const std::size_t q = candidates.size();
-  std::vector<la::Matrix> lap(q);
+  std::vector<la::SparseMatrix> lap(q);
   for (std::size_t i = 0; i < q; ++i) {
-    Result<la::Matrix> l =
-        BuildJointKnnLaplacian(data, blocks, candidates[i], opts.laplacian);
-    if (!l.ok()) return l.status();
-    lap[i] = std::move(l).value();
+    core::EnsembleOptions member;
+    member.include_subspace = false;
+    member.knn = candidates[i];
+    member.laplacian = opts.laplacian;
+    Result<core::HeterogeneousEnsemble> built =
+        core::BuildEnsemble(data, blocks, member);
+    if (!built.ok()) return built.status();
+    lap[i] = std::move(built).value().laplacian;
   }
 
   Rng rng(opts.seed);
@@ -88,7 +100,20 @@ Result<RmcResult> RunRmc(const data::MultiTypeRelationalData& data,
   if (!init.ok()) return init.status();
   la::Matrix g = std::move(init).value();
 
+  // Low-rank state of the current G: K = R·G, GᵀG and the candidate
+  // traces tr(Gᵀ·L̂_i·G). Formed once per G, they serve both that
+  // iteration's objective and the next iteration's beta, S and G steps.
+  la::Matrix k, gtg, h, hg;
+  std::vector<double> traces(q);
+  auto refresh_state = [&]() {
+    r.MultiplyInto(g, &k);
+    gtg = la::Gram(g);
+    for (std::size_t i = 0; i < q; ++i) traces[i] = la::Sandwich(g, lap[i]);
+  };
+  refresh_state();
+
   std::vector<double> beta(q, 1.0 / static_cast<double>(q));
+  std::vector<double> row_norm(n, 0.0);
   RmcResult out;
   fact::HoccResult& res = out.hocc;
   la::Matrix s;
@@ -97,10 +122,6 @@ Result<RmcResult> RunRmc(const data::MultiTypeRelationalData& data,
     // ---- beta update: argmin over the simplex of
     //      sum_i beta_i·tr(GᵀL̂_iG) + mu·||beta||²
     //      => beta = Proj_simplex(-trace_vec / (2·mu)).
-    std::vector<double> traces(q);
-    for (std::size_t i = 0; i < q; ++i) {
-      traces[i] = la::FrobeniusInner(la::Multiply(lap[i], g), g);
-    }
     double mu = opts.mu;
     if (mu <= 0.0) {
       // Auto scale: comparable to the trace magnitudes, so weights spread
@@ -113,29 +134,45 @@ Result<RmcResult> RunRmc(const data::MultiTypeRelationalData& data,
     for (std::size_t i = 0; i < q; ++i) target[i] = -traces[i] / (2.0 * mu);
     beta = ProjectOntoSimplex(std::move(target));
 
-    // ---- Ensemble Laplacian under the current beta.
-    la::Matrix ensemble(r.rows(), r.cols());
+    // ---- Ensemble Laplacian under the current beta, assembled as CSR.
+    std::vector<la::Triplet> trips;
     for (std::size_t i = 0; i < q; ++i) {
-      if (beta[i] > 0.0) ensemble.AddScaled(lap[i], beta[i]);
-    }
-    const la::Matrix lap_pos = la::PositivePart(ensemble);
-    const la::Matrix lap_neg = la::NegativePart(ensemble);
-
-    // ---- Standard NMTF steps against the ensemble.
-    Result<la::Matrix> s_new = fact::SolveCentralS(g, r, opts.ridge);
-    if (!s_new.ok()) return s_new.status();
-    s = std::move(s_new).value();
-    fact::MultiplicativeGUpdate(r, s, opts.lambda, &lap_pos, &lap_neg,
-                                opts.mu_eps, &g);
-
-    double smooth = 0.0;
-    for (std::size_t i = 0; i < q; ++i) {
-      if (beta[i] > 0.0) {
-        smooth += beta[i] * la::FrobeniusInner(la::Multiply(lap[i], g), g);
+      if (beta[i] <= 0.0) continue;
+      const auto& offsets = lap[i].row_offsets();
+      const auto& cols = lap[i].col_indices();
+      const auto& vals = lap[i].values();
+      for (std::size_t row = 0; row < n; ++row) {
+        for (std::size_t p = offsets[row]; p < offsets[row + 1]; ++p) {
+          trips.push_back({row, cols[p], beta[i] * vals[p]});
+        }
       }
     }
-    const double objective =
-        fact::ReconstructionError(r, g, s) + opts.lambda * smooth;
+    const la::SparseMatrix ensemble =
+        la::SparseMatrix::FromTriplets(n, n, std::move(trips));
+    const la::SparseMatrix lap_pos = la::PositivePart(ensemble);
+    const la::SparseMatrix lap_neg = la::NegativePart(ensemble);
+
+    // ---- Standard NMTF steps against the ensemble.
+    Result<la::Matrix> s_new = fact::SolveCentralSFromProducts(
+        gtg, la::MultiplyTN(g, k), opts.ridge);
+    if (!s_new.ok()) return s_new.status();
+    s = std::move(s_new).value();
+    RHCHME_RETURN_IF_ERROR(fact::MultiplicativeGUpdateFromProducts(
+        k, k, s, gtg, opts.lambda, &lap_pos, &lap_neg, opts.mu_eps, &g));
+    refresh_state();
+
+    // ---- Objective: ‖R − G·S·Gᵀ‖²_F from the residual row norms (the
+    // core's identity, with H = G·S) plus the weighted smoothness term.
+    la::MultiplyInto(g, s, &h);
+    la::MultiplyInto(h, gtg, &hg);
+    fact::ResidualRowNorms(r_norm_sq, h, k, hg, &row_norm);
+    double reconstruction = 0.0;
+    for (double norm : row_norm) reconstruction += norm * norm;
+    double smooth = 0.0;
+    for (std::size_t i = 0; i < q; ++i) {
+      if (beta[i] > 0.0) smooth += beta[i] * traces[i];
+    }
+    const double objective = reconstruction + opts.lambda * smooth;
     res.objective_trace.push_back(objective);
     res.iterations = t;
     const double rel =

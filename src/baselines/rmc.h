@@ -15,6 +15,14 @@
 //
 // All candidates are the SAME kind of member (pNN graphs) — exactly the
 // lack of diversity RHCHME's §III.B argues against.
+//
+// Runs its own loop (the beta step has no counterpart in RHCHME) on the
+// RHCHME core's low-rank seams: R behind core::RelationOperator with the
+// core's store rule and one R product per iteration (K = R·G), sparse
+// candidate Laplacians from core::BuildEnsemble, the weighted ensemble
+// assembled as CSR, and the S and G steps through
+// fact::SolveCentralSFromProducts and fact::MultiplicativeGUpdateFromProducts.
+// No dense n x n matrix is formed beyond a dense-stored R.
 
 #ifndef RHCHME_BASELINES_RMC_H_
 #define RHCHME_BASELINES_RMC_H_

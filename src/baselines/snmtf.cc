@@ -1,9 +1,8 @@
 #include "baselines/snmtf.h"
 
-#include <cmath>
-#include <limits>
+#include <utility>
 
-#include "la/gemm.h"
+#include "core/rhchme_solver.h"
 #include "util/stopwatch.h"
 
 namespace rhchme {
@@ -17,73 +16,32 @@ Status SnmtfOptions::Validate() const {
   return knn.Validate();
 }
 
-Result<la::Matrix> BuildJointKnnLaplacian(
-    const data::MultiTypeRelationalData& data,
-    const fact::BlockStructure& blocks, const graph::KnnGraphOptions& knn,
-    graph::LaplacianKind kind) {
-  la::Matrix joint(blocks.total_objects(), blocks.total_objects());
-  for (std::size_t k = 0; k < data.NumTypes(); ++k) {
-    const data::ObjectType& type = data.Type(k);
-    if (type.features.empty()) {
-      return Status::FailedPrecondition("type '" + type.name +
-                                        "' has no features for a pNN graph");
-    }
-    Result<la::SparseMatrix> w = graph::BuildKnnGraph(type.features, knn);
-    if (!w.ok()) return w.status();
-    Result<la::Matrix> lap = graph::BuildLaplacian(w.value(), kind);
-    if (!lap.ok()) return lap.status();
-    joint.SetBlock(blocks.type_offset[k], blocks.type_offset[k], lap.value());
-  }
-  return joint;
-}
-
 Result<fact::HoccResult> RunSnmtf(const data::MultiTypeRelationalData& data,
                                   const SnmtfOptions& opts) {
   RHCHME_RETURN_IF_ERROR(opts.Validate());
-  RHCHME_RETURN_IF_ERROR(data.Validate());
+  // The watch covers the pNN graph construction inside Fit as well as the
+  // solve, so Table V charges SNMTF for its graphs.
   Stopwatch watch;
 
-  const fact::BlockStructure blocks = fact::BuildBlockStructure(data);
-  const la::Matrix r = data.BuildJointR();
-  Result<la::Matrix> lap =
-      BuildJointKnnLaplacian(data, blocks, opts.knn, opts.laplacian);
-  if (!lap.ok()) return lap.status();
-  const la::Matrix lap_pos = la::PositivePart(lap.value());
-  const la::Matrix lap_neg = la::NegativePart(lap.value());
+  // Eq. 1 plus one pNN Laplacian: Eq. 15 with a pNN-only ensemble, the
+  // robust term off and no row normalisation.
+  core::RhchmeOptions core_opts;
+  core_opts.lambda = opts.lambda;
+  core_opts.ensemble.include_subspace = false;
+  core_opts.ensemble.knn = opts.knn;
+  core_opts.ensemble.laplacian = opts.laplacian;
+  core_opts.use_error_matrix = false;
+  core_opts.normalize_rows = false;
+  core_opts.max_iterations = opts.max_iterations;
+  core_opts.tolerance = opts.tolerance;
+  core_opts.ridge = opts.ridge;
+  core_opts.mu_eps = opts.mu_eps;
+  core_opts.init = opts.init;
+  core_opts.seed = opts.seed;
 
-  Rng rng(opts.seed);
-  Result<la::Matrix> init =
-      fact::InitMembership(data, blocks, opts.init, &rng);
-  if (!init.ok()) return init.status();
-  la::Matrix g = std::move(init).value();
-
-  fact::HoccResult res;
-  la::Matrix s;
-  double prev = std::numeric_limits<double>::infinity();
-  for (int t = 1; t <= opts.max_iterations; ++t) {
-    Result<la::Matrix> s_new = fact::SolveCentralS(g, r, opts.ridge);
-    if (!s_new.ok()) return s_new.status();
-    s = std::move(s_new).value();
-    fact::MultiplicativeGUpdate(r, s, opts.lambda, &lap_pos, &lap_neg,
-                                opts.mu_eps, &g);
-
-    const double objective =
-        fact::ReconstructionError(r, g, s) +
-        opts.lambda * la::FrobeniusInner(la::Multiply(lap.value(), g), g);
-    res.objective_trace.push_back(objective);
-    res.iterations = t;
-    const double rel =
-        std::fabs(prev - objective) / std::max(1.0, std::fabs(prev));
-    if (std::isfinite(prev) && rel < opts.tolerance) {
-      res.converged = true;
-      break;
-    }
-    prev = objective;
-  }
-
-  res.g = std::move(g);
-  res.s = std::move(s);
-  res.labels = fact::ExtractLabels(blocks, res.g);
+  Result<core::RhchmeResult> fit = core::Rhchme(core_opts).Fit(data);
+  if (!fit.ok()) return fit.status();
+  fact::HoccResult res = std::move(fit).value().hocc;
   res.seconds = watch.ElapsedSeconds();
   return res;
 }

@@ -11,6 +11,11 @@
 // SNMTF imposes Gᵀ·L·G = I; as in RMC [15] we use the relaxed
 // multiplicative scheme, which keeps G nonnegative (the paper §III.C
 // discusses exactly this trade-off).
+//
+// Runs on the RHCHME solver core (core/rhchme_solver.h): core::Rhchme::Fit
+// with a pNN-only ensemble, the robust term off and no row normalisation.
+// It therefore shares the core's R store, memory model and numerical
+// guards.
 
 #ifndef RHCHME_BASELINES_SNMTF_H_
 #define RHCHME_BASELINES_SNMTF_H_
@@ -43,13 +48,6 @@ struct SnmtfOptions {
 /// Fits SNMTF. Types must have nonempty features (for the pNN graphs).
 Result<fact::HoccResult> RunSnmtf(const data::MultiTypeRelationalData& data,
                                   const SnmtfOptions& opts);
-
-/// Builds the joint block-diagonal single-pNN Laplacian SNMTF uses
-/// (shared with RMC candidates and exposed for tests).
-Result<la::Matrix> BuildJointKnnLaplacian(
-    const data::MultiTypeRelationalData& data,
-    const fact::BlockStructure& blocks, const graph::KnnGraphOptions& knn,
-    graph::LaplacianKind kind);
 
 }  // namespace baselines
 }  // namespace rhchme

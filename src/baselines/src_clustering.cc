@@ -1,9 +1,8 @@
 #include "baselines/src_clustering.h"
 
-#include <cmath>
-#include <limits>
+#include <utility>
 
-#include "la/gemm.h"
+#include "core/rhchme_solver.h"
 #include "util/stopwatch.h"
 
 namespace rhchme {
@@ -20,42 +19,28 @@ Status SrcOptions::Validate() const {
 Result<fact::HoccResult> RunSrc(const data::MultiTypeRelationalData& data,
                                 const SrcOptions& opts) {
   RHCHME_RETURN_IF_ERROR(opts.Validate());
-  RHCHME_RETURN_IF_ERROR(data.Validate());
   Stopwatch watch;
 
-  const fact::BlockStructure blocks = fact::BuildBlockStructure(data);
-  const la::Matrix r = data.BuildJointR();
+  // Eq. 1 is Eq. 15 with the manifold and robust terms off and no row
+  // normalisation; the empty n x n Laplacian is never read at lambda = 0.
+  core::RhchmeOptions core_opts;
+  core_opts.lambda = 0.0;
+  core_opts.use_error_matrix = false;
+  core_opts.normalize_rows = false;
+  core_opts.max_iterations = opts.max_iterations;
+  core_opts.tolerance = opts.tolerance;
+  core_opts.ridge = opts.ridge;
+  core_opts.mu_eps = opts.mu_eps;
+  core_opts.init = opts.init;
+  core_opts.seed = opts.seed;
+  const std::size_t n = data.TotalObjects();
+  core::HeterogeneousEnsemble no_manifold;
+  no_manifold.laplacian = la::SparseMatrix::FromTriplets(n, n, {});
 
-  Rng rng(opts.seed);
-  Result<la::Matrix> init =
-      fact::InitMembership(data, blocks, opts.init, &rng);
-  if (!init.ok()) return init.status();
-  la::Matrix g = std::move(init).value();
-
-  fact::HoccResult res;
-  la::Matrix s;
-  double prev = std::numeric_limits<double>::infinity();
-  for (int t = 1; t <= opts.max_iterations; ++t) {
-    Result<la::Matrix> s_new = fact::SolveCentralS(g, r, opts.ridge);
-    if (!s_new.ok()) return s_new.status();
-    s = std::move(s_new).value();
-    fact::MultiplicativeGUpdate(r, s, opts.mu_eps, &g);
-
-    const double objective = fact::ReconstructionError(r, g, s);
-    res.objective_trace.push_back(objective);
-    res.iterations = t;
-    const double rel =
-        std::fabs(prev - objective) / std::max(1.0, std::fabs(prev));
-    if (std::isfinite(prev) && rel < opts.tolerance) {
-      res.converged = true;
-      break;
-    }
-    prev = objective;
-  }
-
-  res.g = std::move(g);
-  res.s = std::move(s);
-  res.labels = fact::ExtractLabels(blocks, res.g);
+  Result<core::RhchmeResult> fit =
+      core::Rhchme(core_opts).FitWithEnsemble(data, no_manifold);
+  if (!fit.ok()) return fit.status();
+  fact::HoccResult res = std::move(fit).value().hocc;
   res.seconds = watch.ElapsedSeconds();
   return res;
 }

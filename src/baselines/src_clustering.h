@@ -9,6 +9,11 @@
 // i.e. the joint objective ||R − G·S·Gᵀ||²_F with no intra-type
 // (manifold) information. It is the "no intra-type relationships"
 // reference point of Tables III–V.
+//
+// Runs on the RHCHME solver core (core/rhchme_solver.h):
+// core::Rhchme::FitWithEnsemble with lambda = 0, the robust term off, no
+// row normalisation and an empty Laplacian. It therefore shares the core's
+// R store, memory model and numerical guards.
 
 #ifndef RHCHME_BASELINES_SRC_CLUSTERING_H_
 #define RHCHME_BASELINES_SRC_CLUSTERING_H_

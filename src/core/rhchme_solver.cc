@@ -52,34 +52,6 @@ la::Matrix RhchmeResult::ErrorMatrix() const {
 
 namespace {
 
-/// Residual row norms ‖q_i‖ of Q = R − G·S·Gᵀ from the fit loop's cached
-/// n x c state: with H = G·S, K = R·G and HG = H·(GᵀG),
-/// ‖q_i‖² = ‖r_i‖² − 2·h_i·k_iᵀ + h_i·HG_iᵀ.
-/// Each row is written by exactly one chunk in fixed order, so the norms
-/// are bit-identical for any pool size. `row_norm` must hold n entries.
-void ResidualRowNorms(const std::vector<double>& r_norm_sq,
-                      const la::Matrix& h, const la::Matrix& k,
-                      const la::Matrix& hg, std::vector<double>* row_norm) {
-  const std::size_t c = h.cols();
-  util::ParallelFor(0, h.rows(), util::GrainForWork(4 * c + 1),
-                    [&](std::size_t r0, std::size_t r1) {
-                      for (std::size_t i = r0; i < r1; ++i) {
-                        const double* hi = h.row_ptr(i);
-                        const double* ki = k.row_ptr(i);
-                        const double* hgi = hg.row_ptr(i);
-                        double hk = 0.0, hh = 0.0;
-                        for (std::size_t j = 0; j < c; ++j) {
-                          hk += hi[j] * ki[j];
-                          hh += hi[j] * hgi[j];
-                        }
-                        // The identity can dip below zero by rounding when
-                        // a residual row vanishes; clamp before the root.
-                        const double nsq = r_norm_sq[i] - 2.0 * hk + hh;
-                        (*row_norm)[i] = nsq > 0.0 ? std::sqrt(nsq) : 0.0;
-                      }
-                    });
-}
-
 /// Objective-divergence guard: multiplicative updates descend
 /// monotonically on healthy data (Theorem 1), so an accepted objective
 /// jumping more than this factor above the previous one is a numerical
@@ -406,7 +378,7 @@ Result<RhchmeResult> Rhchme::Solve(
     // row i of E_R is row i of Q scaled by s_i = 1/(beta/(2‖q_i‖+zeta)+1),
     // and the objective terms follow from E_R = diag(s)·Q:
     //   ‖Q − E_R‖²_F = Σ (1 − s_i)²·‖q_i‖²,  ‖E_R‖₂,₁ = Σ s_i·‖q_i‖.
-    ResidualRowNorms(r_norm_sq, h, k, hg, &row_norm);
+    fact::ResidualRowNorms(r_norm_sq, h, k, hg, &row_norm);
     if (util::FaultShouldFail(util::fault_site::kResidualPoison) && n > 0) {
       row_norm[0] = std::numeric_limits<double>::quiet_NaN();
     }

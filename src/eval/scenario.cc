@@ -304,9 +304,10 @@ Result<ScenarioReport> RunScenarioGrid(const ScenarioGridOptions& opts) {
         if (nonfinite && corruption == 0.0) continue;
         for (double sparsity : opts.sparsity_levels) {
           // One slot per (method, variant); RHCHME expands to its
-          // variants. Baselines have no numerical guards — on NaN/Inf
+          // variants. RMC and DR-T have no numerical guards — on NaN/Inf
           // input they only crash or emit NaN metrics — so kNonFinite
-          // cells run the guarded RHCHME variants alone.
+          // cells run the guarded RHCHME variants alone (SRC and SNMTF
+          // inherit the core's guards but stay out with the others).
           std::vector<MethodSlot> slots;
           for (const std::string& m : methods) {
             if (m == "RHCHME") {

@@ -75,16 +75,6 @@ Result<la::Matrix> InitMembership(const data::MultiTypeRelationalData& data,
   return g;
 }
 
-Result<la::Matrix> SolveCentralS(const la::Matrix& g, const la::Matrix& m,
-                                 double ridge, SolveStats* stats) {
-  if (g.rows() != m.rows() || m.rows() != m.cols()) {
-    return Status::InvalidArgument("SolveCentralS: shape mismatch");
-  }
-  la::Matrix gtg = la::Gram(g);
-  la::Matrix gtmg = la::MultiplyTN(g, la::Multiply(m, g));
-  return SolveCentralSFromProducts(gtg, gtmg, ridge, stats);
-}
-
 Result<la::Matrix> SolveCentralSFromProducts(const la::Matrix& gtg,
                                              const la::Matrix& gtmg,
                                              double ridge, SolveStats* stats) {
@@ -145,9 +135,7 @@ namespace {
 
 /// Data-term halves of Eq. 21 from precomputed gradient products:
 /// num = A⁺ + G·B⁻ and den = A⁻ + G·B⁺ with the symmetrised halves
-/// A = ½(mg·Sᵀ + mtg·S) and B of the header comment. Shared by every
-/// overload — the dense paths form mg/mtg from M, the RHCHME solver core
-/// from its low-rank identities; both already hold GᵀG.
+/// A = ½(mg·Sᵀ + mtg·S) and B of the header comment.
 void GUpdateDataTermsFromProducts(const la::Matrix& mg, const la::Matrix& mtg,
                                   const la::Matrix& s, const la::Matrix& gtg,
                                   const la::Matrix& g, la::Matrix* num,
@@ -171,43 +159,6 @@ void GUpdateDataTermsFromProducts(const la::Matrix& mg, const la::Matrix& mtg,
 }
 
 }  // namespace
-
-void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
-                           double lambda, const la::Matrix* laplacian_pos,
-                           const la::Matrix* laplacian_neg, double eps,
-                           la::Matrix* g) {
-  la::Matrix mg = la::Multiply(m, *g);                  // n x c
-  la::Matrix mtg;                                       // n x c
-  // Streaming AᵀB: materialising Mᵀ here would be the iteration's only
-  // dense n x n temporary (M is the solver's full-size data matrix).
-  la::MultiplyTNStreamInto(m, *g, &mtg);
-  la::Matrix num, den;
-  GUpdateDataTermsFromProducts(mg, mtg, s, la::Gram(*g), *g, &num, &den);
-  if (lambda != 0.0 && laplacian_pos != nullptr && laplacian_neg != nullptr) {
-    la::Matrix lg_neg = la::Multiply(*laplacian_neg, *g);
-    lg_neg.Scale(lambda);
-    num.Add(lg_neg);
-    la::Matrix lg_pos = la::Multiply(*laplacian_pos, *g);
-    lg_pos.Scale(lambda);
-    den.Add(lg_pos);
-  }
-  RatioUpdate(num, den, eps, g);
-}
-
-void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
-                           double lambda,
-                           const la::SparseMatrix* laplacian_pos,
-                           const la::SparseMatrix* laplacian_neg, double eps,
-                           la::Matrix* g) {
-  la::Matrix mg = la::Multiply(m, *g);                  // n x c
-  la::Matrix mtg;                                       // n x c
-  la::MultiplyTNStreamInto(m, *g, &mtg);
-  const Status st = MultiplicativeGUpdateFromProducts(
-      mg, mtg, s, la::Gram(*g), lambda, laplacian_pos, laplacian_neg, eps, g);
-  // The products were formed from *g two lines up, so a shape mismatch
-  // here is programmer error, not a recoverable pipeline state.
-  RHCHME_CHECK(st.ok(), st.ToString().c_str());
-}
 
 Status MultiplicativeGUpdateFromProducts(const la::Matrix& mg,
                                          const la::Matrix& mtg,
@@ -238,13 +189,6 @@ Status MultiplicativeGUpdateFromProducts(const la::Matrix& mg,
     (*g)(0, 0) = std::numeric_limits<double>::quiet_NaN();
   }
   return Status::OK();
-}
-
-void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
-                           double eps, la::Matrix* g) {
-  MultiplicativeGUpdate(m, s, /*lambda=*/0.0,
-                        static_cast<const la::Matrix*>(nullptr), nullptr, eps,
-                        g);
 }
 
 void RatioUpdate(const la::Matrix& num, const la::Matrix& den, double eps,
@@ -292,12 +236,27 @@ void NormalizeMembershipRows(const BlockStructure& blocks, la::Matrix* g) {
   }
 }
 
-double ReconstructionError(const la::Matrix& m, const la::Matrix& g,
-                           const la::Matrix& s) {
-  la::Matrix gs = la::Multiply(g, s);
-  la::Matrix approx = la::MultiplyNT(gs, g);
-  approx.Sub(m);
-  return approx.FrobeniusNormSquared();
+void ResidualRowNorms(const std::vector<double>& r_norm_sq,
+                      const la::Matrix& h, const la::Matrix& k,
+                      const la::Matrix& hg, std::vector<double>* row_norm) {
+  const std::size_t c = h.cols();
+  util::ParallelFor(0, h.rows(), util::GrainForWork(4 * c + 1),
+                    [&](std::size_t r0, std::size_t r1) {
+                      for (std::size_t i = r0; i < r1; ++i) {
+                        const double* hi = h.row_ptr(i);
+                        const double* ki = k.row_ptr(i);
+                        const double* hgi = hg.row_ptr(i);
+                        double hk = 0.0, hh = 0.0;
+                        for (std::size_t j = 0; j < c; ++j) {
+                          hk += hi[j] * ki[j];
+                          hh += hi[j] * hgi[j];
+                        }
+                        // The identity can dip below zero by rounding when
+                        // a residual row vanishes; clamp before the root.
+                        const double nsq = r_norm_sq[i] - 2.0 * hk + hh;
+                        (*row_norm)[i] = nsq > 0.0 ? std::sqrt(nsq) : 0.0;
+                      }
+                    });
 }
 
 std::vector<std::vector<std::size_t>> ExtractLabels(

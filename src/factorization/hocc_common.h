@@ -4,7 +4,9 @@
 // matrix R ≈ G·S·Gᵀ with block-diagonal G and zero-diagonal-block S (paper
 // §I.A / Eq. 1). This module holds the block-structure bookkeeping, the
 // closed-form central-factor update (Eq. 18), the multiplicative ±-split
-// G update (Eq. 21) and the shared result type.
+// G update (Eq. 21), the analytic residual row norms and the shared result
+// type. The updates take low-rank products (n x c and c x c), never the
+// dense n x n M they are formed from.
 
 #ifndef RHCHME_FACTORIZATION_HOCC_COMMON_H_
 #define RHCHME_FACTORIZATION_HOCC_COMMON_H_
@@ -57,16 +59,11 @@ struct SolveStats {
   int ridge_retries = 0;  ///< Boosted-ridge attempts after a failed solve.
 };
 
-/// Closed-form S given G (paper Eq. 18): S = P·Gᵀ·M·G·P with
-/// P = (GᵀG + ridge·I)⁻¹. `m` is R (or R - E_R for the robust variant).
-Result<la::Matrix> SolveCentralS(const la::Matrix& g, const la::Matrix& m,
-                                 double ridge = 1e-9,
-                                 SolveStats* stats = nullptr);
-
-/// Product-form Eq. 18: the same closed form from the precomputed c x c
-/// factors `gtg` = GᵀG and `gtmg` = Gᵀ·M·G. This is the seam the RHCHME
-/// solver core plugs into — it evaluates Gᵀ·M·G from low-rank identities
-/// without ever forming M, then hands the c x c pieces here. SolveCentralS is a thin wrapper around it.
+/// Closed-form S (paper Eq. 18): S = P·Gᵀ·M·G·P with P = (GᵀG + ridge·I)⁻¹,
+/// from the precomputed c x c factors `gtg` = GᵀG and `gtmg` = Gᵀ·M·G, where
+/// M is R (or R − E_R for the robust variant). Every solver evaluates
+/// Gᵀ·M·G from low-rank products without forming M, then hands the c x c
+/// pieces here.
 ///
 /// Numerical guard: when the base solve fails or produces a non-finite S
 /// (singular GᵀG, injected fault), the solve is retried up the ridge
@@ -86,34 +83,18 @@ Result<la::Matrix> SolveCentralSFromProducts(const la::Matrix& gtg,
 /// B = ½(Sᵀ·GᵀG·S + S·GᵀG·Sᵀ), which reduce to the paper's A = M·G·Sᵀ,
 /// B = Sᵀ·GᵀG·S when M and S are symmetric (DESIGN.md §5).
 ///
-/// `laplacian_pos`/`laplacian_neg` are the precomputed ± parts of L; pass
-/// nullptr (with lambda = 0) when there is no manifold regulariser.
-/// `eps` floors the denominator. Zero entries of G stay zero, so the
-/// block-diagonal structure is preserved.
-void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
-                           double lambda, const la::Matrix* laplacian_pos,
-                           const la::Matrix* laplacian_neg, double eps,
-                           la::Matrix* g);
-
-/// Sparse-Laplacian overload: the ± parts stay in CSR and the L±·G terms
-/// run as SpMM (O(nnz·c) instead of O(n²·c)); the pNN ensemble Laplacian
-/// is never densified. Values agree with the dense overload to rounding.
-void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
-                           double lambda,
-                           const la::SparseMatrix* laplacian_pos,
-                           const la::SparseMatrix* laplacian_neg, double eps,
-                           la::Matrix* g);
-
-/// Product-form Eq. 21: the same update from precomputed gradient halves
-/// `mg` = M·G and `mtg` = Mᵀ·G (both n x c) and `gtg` = GᵀG instead of M
-/// itself — the seam shared with the RHCHME solver core, which evaluates
-/// the products from two R·X products and O(n·c²) low-rank work via the
-/// implicit M = R − diag(s)·(R − H·Gᵀ) and never materialises M (and
-/// already holds GᵀG from the S solve). `g` must be the same membership
-/// every product was formed against. Laplacian handling matches the
-/// sparse overload above. Returns InvalidArgument on shape mismatch
-/// instead of aborting — this is a fit-pipeline seam, and bad shapes here
-/// can come from corrupted snapshots, not only programmer error.
+/// M enters only through the precomputed gradient halves `mg` = M·G and
+/// `mtg` = Mᵀ·G (both n x c), with `gtg` = GᵀG: the RHCHME core evaluates
+/// them from R·X products and O(n·c²) low-rank work via the implicit
+/// M = R − diag(s)·(R − H·Gᵀ), and RMC from its cached K = R·G. `g` must
+/// be the same membership every product was formed against.
+/// `laplacian_pos`/`laplacian_neg` are the precomputed ± parts of L, kept
+/// in CSR (the L±·G terms run as SpMM); pass nullptr (with lambda = 0)
+/// when there is no manifold regulariser. `eps` floors the denominator.
+/// Zero entries of G stay zero, so the block-diagonal structure is
+/// preserved. Returns InvalidArgument on shape mismatch instead of
+/// aborting — this is a fit-pipeline seam, and bad shapes here can come
+/// from corrupted snapshots, not only programmer error.
 Status MultiplicativeGUpdateFromProducts(const la::Matrix& mg,
                                          const la::Matrix& mtg,
                                          const la::Matrix& s,
@@ -121,11 +102,6 @@ Status MultiplicativeGUpdateFromProducts(const la::Matrix& mg,
                                          const la::SparseMatrix* laplacian_pos,
                                          const la::SparseMatrix* laplacian_neg,
                                          double eps, la::Matrix* g);
-
-/// No-regulariser convenience (lambda = 0): data terms only. Avoids the
-/// nullptr-overload ambiguity at call sites without a Laplacian.
-void MultiplicativeGUpdate(const la::Matrix& m, const la::Matrix& s,
-                           double eps, la::Matrix* g);
 
 /// G ∘= sqrt(num/(den+eps)) — the bare ratio update (used by DRCC, whose
 /// factor matrices are not symmetric).
@@ -137,9 +113,15 @@ void RatioUpdate(const la::Matrix& num, const la::Matrix& den, double eps,
 /// become uniform over the block).
 void NormalizeMembershipRows(const BlockStructure& blocks, la::Matrix* g);
 
-/// Reconstruction ‖M − G·S·Gᵀ‖²_F.
-double ReconstructionError(const la::Matrix& m, const la::Matrix& g,
-                           const la::Matrix& s);
+/// Residual row norms ‖q_i‖ of Q = R − G·S·Gᵀ from cached n x c state,
+/// never forming Q: with H = G·S, K = R·G and HG = H·(GᵀG),
+/// ‖q_i‖² = ‖r_i‖² − 2·h_i·k_iᵀ + h_i·HG_iᵀ, where `r_norm_sq` holds the
+/// ‖r_i‖². Each row is written by exactly one chunk in fixed order, so the
+/// norms are bit-identical for any pool size. `row_norm` must hold n
+/// entries.
+void ResidualRowNorms(const std::vector<double>& r_norm_sq,
+                      const la::Matrix& h, const la::Matrix& k,
+                      const la::Matrix& hg, std::vector<double>* row_norm);
 
 /// Shared outcome of a HOCC solver.
 struct HoccResult {

@@ -14,8 +14,9 @@ namespace graph {
 namespace {
 
 /// Bounded chunk count for the shape-only triangular split of the exact
-/// engine (same idiom and cap as la::MultiplyTNStreamInto): scratch is
-/// O(n·p) per chunk, so the cap bounds peak memory at 16·n·p entries.
+/// engine (util/parallel.h idiom (c), like the column-sum slots of
+/// core/subspace.cc): scratch is O(n·p) per chunk, so the cap bounds peak
+/// memory at 16·n·p entries.
 constexpr std::size_t kMaxExactChunks = 16;
 
 /// Row panel height of the exact engine's distance tiles: each j-row load

@@ -203,53 +203,6 @@ Matrix MultiplyTN(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void MultiplyTNStreamInto(const Matrix& a, const Matrix& b, Matrix* c) {
-  RHCHME_CHECK(a.rows() == b.rows(), "MultiplyTN: inner dims mismatch");
-  const simd::KernelTable& kt = simd::Table();
-  const std::size_t kk = a.rows(), m = a.cols(), n = b.cols();
-  c->Resize(m, n);
-  if (kk == 0 || m == 0 || n == 0) return;
-  // Bounded per-chunk accumulators keep the merge memory at <= kMaxChunks
-  // output copies, and the shape-only chunk layout keeps the per-element
-  // accumulation order (ascending source row) independent of the thread
-  // count (util/parallel.h, idiom (c)).
-  constexpr std::size_t kMaxChunks = 16;
-  const std::size_t cap_grain = (kk + kMaxChunks - 1) / kMaxChunks;
-  const std::size_t grain =
-      std::max(util::GrainForWork(2 * m * (n ? n : 1)), cap_grain);
-  const std::size_t nchunks = (kk + grain - 1) / grain;
-  if (nchunks <= 1) {
-    for (std::size_t k = 0; k < kk; ++k) {
-      const double* ak = a.row_ptr(k);
-      const double* bk = b.row_ptr(k);
-      for (std::size_t i = 0; i < m; ++i) {
-        const double aki = ak[i];
-        if (aki == 0.0) continue;
-        kt.axpy(aki, bk, c->row_ptr(i), n);
-      }
-    }
-    return;
-  }
-  std::vector<Matrix> partial(nchunks);
-  util::ParallelFor(0, kk, grain, [&](std::size_t b0, std::size_t e0) {
-    for (std::size_t cb = b0; cb < e0; cb += grain) {
-      Matrix& slot = partial[cb / grain];
-      slot.Resize(m, n);  // Zero-initialised accumulator.
-      const std::size_t ce = std::min(e0, cb + grain);
-      for (std::size_t k = cb; k < ce; ++k) {
-        const double* ak = a.row_ptr(k);
-        const double* bk = b.row_ptr(k);
-        for (std::size_t i = 0; i < m; ++i) {
-          const double aki = ak[i];
-          if (aki == 0.0) continue;
-          kt.axpy(aki, bk, slot.row_ptr(i), n);
-        }
-      }
-    }
-  });
-  for (const Matrix& slot : partial) c->Add(slot);
-}
-
 Matrix MultiplyNT(const Matrix& a, const Matrix& b) {
   RHCHME_CHECK(a.cols() == b.cols(), "MultiplyNT: inner dims mismatch");
   const simd::KernelTable& kt = simd::Table();

@@ -46,15 +46,6 @@ Matrix MultiplyNT(const Matrix& a, const Matrix& b);
 /// Writes A * B into `c` (resized as needed).
 void MultiplyInto(const Matrix& a, const Matrix& b, Matrix* c);
 
-/// Writes Aᵀ * B into `c` without materialising Aᵀ: source-row chunks of
-/// A/B accumulate into per-chunk (a.cols() x b.cols()) buffers that are
-/// merged in chunk order. Chunk layout depends only on the shapes (capped
-/// at 16 chunks), so results are bit-identical for any pool size. The
-/// memory-lean choice when A is a large square matrix and B is narrow —
-/// the solver's Mᵀ·G product — where the transposed copy would be the
-/// only n x n temporary of the iteration.
-void MultiplyTNStreamInto(const Matrix& a, const Matrix& b, Matrix* c);
-
 /// Gram matrix AᵀA (symmetric; computes the upper triangle in parallel
 /// row panels and mirrors).
 Matrix Gram(const Matrix& a);

@@ -26,7 +26,8 @@
 // give each chunk its own accumulator slot indexed by
 // (chunk_begin - begin) / grain — recoverable inside fused calls because
 // chunk starts are grain-aligned — and merge the slots in chunk order
-// after the barrier. la::MultiplyTNStreamInto is the reference
+// after the barrier. The column-sum slots of sweep A in
+// core::LearnSubspaceAffinity (core/subspace.cc) are the reference
 // implementation of (c). No atomics touch user accumulators.
 //
 // Nested parallel regions run serially: a ParallelFor issued from inside

@@ -2,13 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "baselines/drcc.h"
 #include "baselines/rmc.h"
 #include "baselines/snmtf.h"
 #include "baselines/src_clustering.h"
+#include "core/rhchme_solver.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
+#include "graph/laplacian.h"
 #include "la/gemm.h"
+#include "la/sparse.h"
 #include "scoped_num_threads.h"
 
 namespace rhchme {
@@ -83,17 +91,6 @@ TEST(Snmtf, ObjectiveDecreases) {
   }
 }
 
-TEST(Snmtf, JointLaplacianIsBlockDiagonal) {
-  data::MultiTypeRelationalData d = SmallData();
-  fact::BlockStructure b = fact::BuildBlockStructure(d);
-  graph::KnnGraphOptions knn;
-  Result<la::Matrix> l = BuildJointKnnLaplacian(
-      d, b, knn, graph::LaplacianKind::kSymmetric);
-  ASSERT_TRUE(l.ok());
-  EXPECT_EQ(l.value().Block(0, 24, 24, 18).MaxAbs(), 0.0);
-  EXPECT_GT(l.value().Block(0, 0, 24, 24).MaxAbs(), 0.0);
-}
-
 TEST(Snmtf, FailsWithoutFeatures) {
   data::MultiTypeRelationalData d = SmallData();
   d.MutableType(1).features = la::Matrix();
@@ -146,6 +143,128 @@ TEST(Rmc, CustomCandidateListRespected) {
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r.value().candidate_weights.size(), 1u);
   EXPECT_NEAR(r.value().candidate_weights[0], 1.0, 1e-12);
+}
+
+/// The dense RMC loop as the library ran it before moving onto the core's
+/// low-rank seams, kept as the equivalence reference: dense joint R and
+/// dense candidate Laplacians, traces tr(Gᵀ·L̂_i·G) as dense products, the
+/// ensemble summed densely, and ‖R − G·S·Gᵀ‖²_F formed elementwise. Only
+/// the Eq. 18 / Eq. 21 seams are shared, fed with dense products.
+RmcResult DenseReferenceRmc(const data::MultiTypeRelationalData& d,
+                            const RmcOptions& opts) {
+  const fact::BlockStructure blocks = fact::BuildBlockStructure(d);
+  const la::Matrix r = d.BuildJointR();
+  const std::size_t n = r.rows();
+  const std::vector<graph::KnnGraphOptions> candidates =
+      opts.candidates.empty() ? DefaultRmcCandidates() : opts.candidates;
+  const std::size_t q = candidates.size();
+  std::vector<la::Matrix> lap(q, la::Matrix(n, n));
+  for (std::size_t i = 0; i < q; ++i) {
+    for (std::size_t k = 0; k < d.NumTypes(); ++k) {
+      const la::SparseMatrix w =
+          graph::BuildKnnGraph(d.Type(k).features, candidates[i]).value();
+      lap[i].SetBlock(blocks.type_offset[k], blocks.type_offset[k],
+                      graph::BuildLaplacian(w, opts.laplacian).value());
+    }
+  }
+  auto trace = [](const la::Matrix& l, const la::Matrix& g) {
+    return la::FrobeniusInner(la::Multiply(l, g), g);
+  };
+
+  Rng rng(opts.seed);
+  la::Matrix g = fact::InitMembership(d, blocks, opts.init, &rng).value();
+  std::vector<double> beta(q, 1.0 / static_cast<double>(q));
+  RmcResult out;
+  fact::HoccResult& res = out.hocc;
+  la::Matrix s;
+  double prev = std::numeric_limits<double>::infinity();
+  for (int t = 1; t <= opts.max_iterations; ++t) {
+    std::vector<double> traces(q);
+    for (std::size_t i = 0; i < q; ++i) traces[i] = trace(lap[i], g);
+    double mu = opts.mu;
+    if (mu <= 0.0) {
+      double mean = 0.0;
+      for (double v : traces) mean += std::fabs(v);
+      mu = std::max(mean / static_cast<double>(q), 1e-12);
+    }
+    std::vector<double> target(q);
+    for (std::size_t i = 0; i < q; ++i) target[i] = -traces[i] / (2.0 * mu);
+    beta = ProjectOntoSimplex(std::move(target));
+
+    la::Matrix ensemble(n, n);
+    for (std::size_t i = 0; i < q; ++i) {
+      if (beta[i] > 0.0) ensemble.AddScaled(lap[i], beta[i]);
+    }
+    const la::SparseMatrix lap_pos =
+        la::SparseMatrix::FromDense(la::PositivePart(ensemble));
+    const la::SparseMatrix lap_neg =
+        la::SparseMatrix::FromDense(la::NegativePart(ensemble));
+
+    const la::Matrix mg = la::Multiply(r, g);
+    const la::Matrix mtg = la::MultiplyTN(r, g);
+    const la::Matrix gtg = la::Gram(g);
+    s = fact::SolveCentralSFromProducts(gtg, la::MultiplyTN(g, mg),
+                                        opts.ridge)
+            .value();
+    EXPECT_TRUE(fact::MultiplicativeGUpdateFromProducts(
+                    mg, mtg, s, gtg, opts.lambda, &lap_pos, &lap_neg,
+                    opts.mu_eps, &g)
+                    .ok());
+
+    double smooth = 0.0;
+    for (std::size_t i = 0; i < q; ++i) {
+      if (beta[i] > 0.0) smooth += beta[i] * trace(lap[i], g);
+    }
+    la::Matrix resid = la::MultiplyNT(la::Multiply(g, s), g);
+    resid.Sub(r);
+    const double objective =
+        resid.FrobeniusNormSquared() + opts.lambda * smooth;
+    res.objective_trace.push_back(objective);
+    res.iterations = t;
+    const double rel =
+        std::fabs(prev - objective) / std::max(1.0, std::fabs(prev));
+    if (std::isfinite(prev) && rel < opts.tolerance) {
+      res.converged = true;
+      break;
+    }
+    prev = objective;
+  }
+  res.g = std::move(g);
+  res.s = std::move(s);
+  res.labels = fact::ExtractLabels(blocks, res.g);
+  out.candidate_weights = std::move(beta);
+  return out;
+}
+
+TEST(Rmc, MatchesDenseReferenceLoop) {
+  data::MultiTypeRelationalData d = SmallData();
+  RmcOptions opts;
+  opts.lambda = 1.0;
+  opts.max_iterations = 15;
+  opts.tolerance = 0.0;  // Fixed-length traces on both sides.
+  opts.seed = 5;
+  const RmcResult ref = DenseReferenceRmc(d, opts);
+  for (int threads : {1, 4}) {
+    ScopedNumThreads scoped(threads);
+    Result<RmcResult> fit = RunRmc(d, opts);
+    ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+    const RmcResult& got = fit.value();
+    ASSERT_EQ(got.hocc.objective_trace.size(),
+              ref.hocc.objective_trace.size());
+    for (std::size_t i = 0; i < ref.hocc.objective_trace.size(); ++i) {
+      const double want = ref.hocc.objective_trace[i];
+      EXPECT_LT(std::fabs(got.hocc.objective_trace[i] - want) /
+                    std::fabs(want),
+                1e-8)
+          << "threads=" << threads << " iteration " << i + 1;
+    }
+    ASSERT_EQ(got.candidate_weights.size(), ref.candidate_weights.size());
+    for (std::size_t i = 0; i < ref.candidate_weights.size(); ++i) {
+      EXPECT_NEAR(got.candidate_weights[i], ref.candidate_weights[i], 1e-10)
+          << "threads=" << threads << " candidate " << i;
+    }
+    EXPECT_EQ(got.hocc.labels, ref.hocc.labels) << "threads=" << threads;
+  }
 }
 
 // Simplex projection properties (TEST_P over inputs).
@@ -268,6 +387,50 @@ TEST(Drcc, ValidationErrors) {
   opts.col_clusters = 2;
   opts.lambda = -1.0;
   EXPECT_FALSE(RunDrcc(x, opts).ok());
+}
+
+// ---- Memory ------------------------------------------------------------------
+
+/// Memory gate of the three NMTF baselines: like the RHCHME core they run
+/// on, each allocates exactly one dense n x n matrix when the joint R is
+/// stored dense (R itself) and none when it is CSR — no dense Laplacian,
+/// residual or M (la::memstats counts every Matrix of >= n² doubles).
+TEST(BaselineMemory, DenseNxNAllocationsPerStorage) {
+  const double threshold = core::RhchmeOptions().sparse_r_density_threshold;
+  data::BlockWorldOptions sparse_world;
+  sparse_world.objects_per_type = {24, 18, 12};
+  sparse_world.n_classes = 3;
+  sparse_world.dropout = 0.95;
+  sparse_world.seed = 17;
+  for (bool csr : {false, true}) {
+    const data::MultiTypeRelationalData d =
+        csr ? data::GenerateBlockWorld(sparse_world).value() : SmallData();
+    // The core's store rule must pick the store this case is about.
+    ASSERT_EQ(d.JointRDensity() <= threshold, csr);
+    const std::size_t want = csr ? 0 : 1;
+    const std::size_t n = d.TotalObjects();
+    auto count = [&](auto fit) {
+      la::memstats::StartTracking(n * n);
+      const bool ok = fit();
+      la::memstats::StopTracking();
+      EXPECT_TRUE(ok);
+      return la::memstats::LargeAllocations();
+    };
+    SrcOptions src;
+    src.max_iterations = 5;
+    EXPECT_EQ(count([&] { return RunSrc(d, src).ok(); }), want)
+        << "SRC csr=" << csr;
+    SnmtfOptions snmtf;
+    snmtf.lambda = 1.0;
+    snmtf.max_iterations = 5;
+    EXPECT_EQ(count([&] { return RunSnmtf(d, snmtf).ok(); }), want)
+        << "SNMTF csr=" << csr;
+    RmcOptions rmc;
+    rmc.lambda = 1.0;
+    rmc.max_iterations = 5;
+    EXPECT_EQ(count([&] { return RunRmc(d, rmc).ok(); }), want)
+        << "RMC csr=" << csr;
+  }
 }
 
 // ---- Thread-count determinism ---------------------------------------------

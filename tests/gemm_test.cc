@@ -160,41 +160,6 @@ TEST(Gemm, FrobeniusInnerMatchesTrace) {
   EXPECT_NEAR(FrobeniusInner(a, b), expected, 1e-10);
 }
 
-TEST(Gemm, StreamingTNMatchesNaive) {
-  Rng rng(23);
-  // Square-A (the solver's Mᵀ·G shape) and rectangular shapes.
-  for (auto [k, m, n] : {std::make_tuple(40, 40, 7), std::make_tuple(9, 5, 3),
-                         std::make_tuple(300, 300, 4)}) {
-    Matrix a = Matrix::RandomNormal(k, m, &rng);
-    Matrix b = Matrix::RandomNormal(k, n, &rng);
-    Matrix got;
-    MultiplyTNStreamInto(a, b, &got);
-    EXPECT_LT(MaxAbsDiff(got, NaiveMultiply(a.Transposed(), b)), 1e-9)
-        << k << "x" << m << " * " << k << "x" << n;
-  }
-}
-
-TEST(Gemm, StreamingTNHandlesEmptyShapes) {
-  Matrix got;
-  MultiplyTNStreamInto(Matrix(0, 3), Matrix(0, 2), &got);
-  EXPECT_EQ(got.rows(), 3u);
-  EXPECT_EQ(got.cols(), 2u);
-  EXPECT_EQ(got.MaxAbs(), 0.0);
-}
-
-TEST(Gemm, StreamingTNIsBitStableAcrossThreadCounts) {
-  Rng rng(24);
-  Matrix a = Matrix::RandomNormal(500, 500, &rng);
-  Matrix b = Matrix::RandomNormal(500, 6, &rng);
-  auto run = [&](int threads) {
-    ScopedNumThreads scoped(threads);
-    Matrix c;
-    MultiplyTNStreamInto(a, b, &c);
-    return c;
-  };
-  EXPECT_EQ(MaxAbsDiff(run(1), run(4)), 0.0);
-}
-
 TEST(Gemm, SparseInputsShortCircuit) {
   // Zero blocks must not pollute the result (the kernels skip zeros).
   Matrix a(30, 30);

@@ -8,6 +8,7 @@
 
 #include "data/synthetic.h"
 #include "la/gemm.h"
+#include "la/sparse.h"
 #include "util/rng.h"
 
 namespace rhchme {
@@ -63,34 +64,66 @@ TEST(InitMembership, BlockDiagonalRowStochastic) {
   }
 }
 
-TEST(SolveCentralS, RecoversPlantedS) {
+/// Eq. 18 with its c x c products formed densely from M.
+Result<la::Matrix> SolveFromDense(const la::Matrix& g, const la::Matrix& m,
+                                  double ridge) {
+  return SolveCentralSFromProducts(la::Gram(g),
+                                   la::MultiplyTN(g, la::Multiply(m, g)),
+                                   ridge);
+}
+
+/// One Eq. 21 step with its gradient halves formed densely from M. M need
+/// not be symmetric, so Mᵀ·G is a real transposed product.
+void UpdateFromDense(const la::Matrix& m, const la::Matrix& s, double lambda,
+                     const la::SparseMatrix* lap_pos,
+                     const la::SparseMatrix* lap_neg, la::Matrix* g) {
+  const la::Matrix mg = la::Multiply(m, *g);
+  const la::Matrix mtg = la::MultiplyTN(m, *g);
+  ASSERT_TRUE(MultiplicativeGUpdateFromProducts(mg, mtg, s, la::Gram(*g),
+                                                lambda, lap_pos, lap_neg,
+                                                1e-12, g)
+                  .ok());
+}
+
+/// ‖M − G·S·Gᵀ‖²_F, formed elementwise.
+double Reconstruction(const la::Matrix& m, const la::Matrix& g,
+                      const la::Matrix& s) {
+  la::Matrix approx = la::MultiplyNT(la::Multiply(g, s), g);
+  approx.Sub(m);
+  return approx.FrobeniusNormSquared();
+}
+
+TEST(SolveCentralSFromProducts, RecoversPlantedS) {
   // Build R = G·S·Gᵀ exactly and check the closed form recovers S.
   Rng rng(2);
   const std::size_t n = 20, c = 4;
   la::Matrix g = la::Matrix::RandomUniform(n, c, &rng, 0.1, 1.0);
   la::Matrix s_true = la::Matrix::RandomNormal(c, c, &rng);
   la::Matrix r = la::MultiplyNT(la::Multiply(g, s_true), g);
-  Result<la::Matrix> s = SolveCentralS(g, r, 1e-12);
+  Result<la::Matrix> s = SolveFromDense(g, r, 1e-12);
   ASSERT_TRUE(s.ok());
   EXPECT_LT(la::MaxAbsDiff(s.value(), s_true), 1e-6);
 }
 
-TEST(SolveCentralS, SurvivesEmptyClusterColumn) {
+TEST(SolveCentralSFromProducts, SurvivesEmptyClusterColumn) {
   Rng rng(3);
   la::Matrix g = la::Matrix::RandomUniform(10, 3, &rng);
   for (std::size_t i = 0; i < 10; ++i) g(i, 2) = 0.0;  // Empty cluster.
   la::Matrix r = la::Matrix::RandomUniform(10, 10, &rng);
-  Result<la::Matrix> s = SolveCentralS(g, r, 1e-9);
+  Result<la::Matrix> s = SolveFromDense(g, r, 1e-9);
   ASSERT_TRUE(s.ok());
   EXPECT_TRUE(s.value().AllFinite());
 }
 
-TEST(SolveCentralS, RejectsShapeMismatch) {
-  EXPECT_FALSE(SolveCentralS(la::Matrix(5, 2), la::Matrix(4, 4)).ok());
-  EXPECT_FALSE(SolveCentralS(la::Matrix(4, 2), la::Matrix(4, 5)).ok());
+TEST(SolveCentralSFromProducts, RejectsShapeMismatch) {
+  // GᵀG not square, and Gᵀ·M·G of another size than GᵀG.
+  EXPECT_FALSE(
+      SolveCentralSFromProducts(la::Matrix(2, 3), la::Matrix(2, 3)).ok());
+  EXPECT_FALSE(
+      SolveCentralSFromProducts(la::Matrix(2, 2), la::Matrix(3, 3)).ok());
 }
 
-TEST(MultiplicativeGUpdate, DecreasesReconstructionObjective) {
+TEST(MultiplicativeGUpdateFromProducts, DecreasesReconstructionObjective) {
   Rng rng(4);
   const std::size_t n = 16, c = 3;
   la::Matrix g_true = la::Matrix::RandomUniform(n, c, &rng, 0.0, 1.0);
@@ -98,16 +131,16 @@ TEST(MultiplicativeGUpdate, DecreasesReconstructionObjective) {
   la::Matrix r = la::MultiplyNT(la::Multiply(g_true, s), g_true);
   la::Matrix g = la::Matrix::RandomUniform(n, c, &rng, 0.1, 1.0);
 
-  double prev = ReconstructionError(r, g, s);
+  double prev = Reconstruction(r, g, s);
   for (int it = 0; it < 25; ++it) {
-    MultiplicativeGUpdate(r, s, 1e-12, &g);
-    const double now = ReconstructionError(r, g, s);
+    UpdateFromDense(r, s, 0.0, nullptr, nullptr, &g);
+    const double now = Reconstruction(r, g, s);
     EXPECT_LE(now, prev * (1.0 + 1e-9)) << "iteration " << it;
     prev = now;
   }
 }
 
-TEST(MultiplicativeGUpdate, ZerosStayZero) {
+TEST(MultiplicativeGUpdateFromProducts, ZerosStayZero) {
   // The block-diagonal structure of G survives because multiplicative
   // updates cannot resurrect exact zeros.
   Rng rng(5);
@@ -116,28 +149,24 @@ TEST(MultiplicativeGUpdate, ZerosStayZero) {
   for (std::size_t i = 0; i < 6; ++i) g(i, 3) = 0.0;
   la::Matrix s = la::Matrix::RandomUniform(c, c, &rng);
   la::Matrix r = la::Matrix::RandomUniform(n, n, &rng);
-  MultiplicativeGUpdate(r, s, 1e-12, &g);
+  UpdateFromDense(r, s, 0.0, nullptr, nullptr, &g);
   for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(g(i, 3), 0.0);
   EXPECT_TRUE(g.IsNonNegative());
   EXPECT_TRUE(g.AllFinite());
 }
 
-TEST(MultiplicativeGUpdate, LaplacianTermPullsNeighboursTogether) {
+TEST(MultiplicativeGUpdateFromProducts, LaplacianTermPullsNeighboursTogether) {
   // Two objects connected by a strong graph edge end up with more
   // similar membership rows than without the regulariser.
   Rng rng(6);
   const std::size_t n = 8, c = 2;
   la::Matrix r = la::Matrix::RandomUniform(n, n, &rng, 0.0, 0.3);
   la::Matrix s = la::Matrix::Identity(c);
-  la::Matrix w(n, n);
-  w(0, 1) = w(1, 0) = 10.0;  // Strong edge 0-1.
-  la::Matrix lap(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) lap(i, j) = -w(i, j);
-  }
-  lap(0, 0) = lap(1, 1) = 10.0;
-  la::Matrix lap_pos = la::PositivePart(lap);
-  la::Matrix lap_neg = la::NegativePart(lap);
+  // L of the single strong edge 0-1 (weight 10).
+  const la::SparseMatrix lap = la::SparseMatrix::FromTriplets(
+      n, n, {{0, 0, 10.0}, {1, 1, 10.0}, {0, 1, -10.0}, {1, 0, -10.0}});
+  const la::SparseMatrix lap_pos = la::PositivePart(lap);
+  const la::SparseMatrix lap_neg = la::NegativePart(lap);
 
   la::Matrix g0 = la::Matrix::RandomUniform(n, c, &rng, 0.1, 1.0);
   g0(0, 0) = 0.9;
@@ -151,8 +180,8 @@ TEST(MultiplicativeGUpdate, LaplacianTermPullsNeighboursTogether) {
   la::Matrix g_reg = g0;
   la::Matrix g_noreg = g0;
   for (int it = 0; it < 10; ++it) {
-    MultiplicativeGUpdate(r, s, 5.0, &lap_pos, &lap_neg, 1e-12, &g_reg);
-    MultiplicativeGUpdate(r, s, 1e-12, &g_noreg);
+    UpdateFromDense(r, s, 5.0, &lap_pos, &lap_neg, &g_reg);
+    UpdateFromDense(r, s, 0.0, nullptr, nullptr, &g_noreg);
   }
   EXPECT_LT(row_gap(g_reg), row_gap(g_noreg));
 }
@@ -213,14 +242,6 @@ TEST(ExtractLabels, PerTypeArgmax) {
   auto labels = ExtractLabels(b, g);
   ASSERT_EQ(labels.size(), 3u);
   EXPECT_EQ(labels[1], std::vector<std::size_t>(9, 2u));
-}
-
-TEST(ReconstructionError, ZeroForExactFactorisation) {
-  Rng rng(8);
-  la::Matrix g = la::Matrix::RandomUniform(10, 3, &rng);
-  la::Matrix s = la::Matrix::RandomNormal(3, 3, &rng);
-  la::Matrix r = la::MultiplyNT(la::Multiply(g, s), g);
-  EXPECT_NEAR(ReconstructionError(r, g, s), 0.0, 1e-10);
 }
 
 }  // namespace

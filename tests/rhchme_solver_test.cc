@@ -357,11 +357,11 @@ double DenseObjective(const la::Matrix& r, const la::Matrix& g,
 }
 
 /// Algorithm 2 the straightforward way: every iteration materialises
-/// M = R − E_R, runs the library's dense update kernels
-/// (fact::SolveCentralS, fact::MultiplicativeGUpdate), forms the residual
+/// M = R − E_R, forms the update products M·G, Mᵀ·G and GᵀG densely and
+/// hands them to the Eq. 18 / Eq. 21 seams, forms the residual
 /// Q = R − G·S·Gᵀ and a dense E_R, and scores Eq. 15 elementwise. The
 /// solver's low-rank core must reproduce this trajectory to rounding on
-/// either R store; nothing here shares its algebra.
+/// either R store; only the two c x c / n x c update seams are shared.
 ReferenceFit ReferenceLoop(const data::MultiTypeRelationalData& d,
                            const HeterogeneousEnsemble& ensemble,
                            const RhchmeOptions& opts) {
@@ -379,9 +379,18 @@ ReferenceFit ReferenceLoop(const data::MultiTypeRelationalData& d,
   for (int t = 1; t <= opts.max_iterations; ++t) {
     la::Matrix m = r;
     if (opts.use_error_matrix) m.Sub(out.error);
-    out.s = fact::SolveCentralS(out.g, m, opts.ridge).value();
-    fact::MultiplicativeGUpdate(m, out.s, opts.lambda, &lap_pos, &lap_neg,
-                                opts.mu_eps, &out.g);
+    // M is not symmetric once E_R ≠ 0, so Mᵀ·G is a real transposed
+    // product.
+    const la::Matrix mg = la::Multiply(m, out.g);
+    const la::Matrix mtg = la::MultiplyTN(m, out.g);
+    const la::Matrix gtg = la::Gram(out.g);
+    out.s = fact::SolveCentralSFromProducts(gtg, la::MultiplyTN(out.g, mg),
+                                            opts.ridge)
+                .value();
+    EXPECT_TRUE(fact::MultiplicativeGUpdateFromProducts(
+                    mg, mtg, out.s, gtg, opts.lambda, &lap_pos, &lap_neg,
+                    opts.mu_eps, &out.g)
+                    .ok());
     if (opts.normalize_rows) fact::NormalizeMembershipRows(blocks, &out.g);
     la::Matrix q = la::MultiplyNT(la::Multiply(out.g, out.s), out.g);
     q.Scale(-1.0);
@@ -414,8 +423,10 @@ void ExpectTracesMatch(const std::vector<double>& got,
 
 /// Permanent equivalence gate of the low-rank core: on both R stores, at
 /// one and at four threads, with and without the robust and manifold
-/// terms, the objective trace matches the dense reference loop within
-/// 1e-8 relative, and the rebuilt E_R matches its dense E_R.
+/// terms and the row normalisation, the objective trace matches the dense
+/// reference loop within 1e-8 relative, and the rebuilt E_R matches its
+/// dense E_R. The last two rows are the SRC and SNMTF baseline
+/// configurations (baselines/src_clustering.h, baselines/snmtf.h).
 TEST(RhchmeCore, TraceMatchesDenseReferenceLoop) {
   data::MultiTypeRelationalData d = SmallData();
   const fact::BlockStructure b = fact::BuildBlockStructure(d);
@@ -429,13 +440,17 @@ TEST(RhchmeCore, TraceMatchesDenseReferenceLoop) {
     double lambda;
     double beta;
     bool robust;
+    bool normalize;
   };
-  for (const Terms& terms : {Terms{1.0, 50.0, true}, Terms{250.0, 300.0, true},
-                             Terms{1.0, 50.0, false}, Terms{0.0, 50.0, true}}) {
+  for (const Terms& terms :
+       {Terms{1.0, 50.0, true, true}, Terms{250.0, 300.0, true, true},
+        Terms{1.0, 50.0, false, true}, Terms{0.0, 50.0, true, true},
+        Terms{0.0, 50.0, false, false}, Terms{1.0, 50.0, false, false}}) {
     RhchmeOptions opts = base;
     opts.lambda = terms.lambda;
     opts.beta = terms.beta;
     opts.use_error_matrix = terms.robust;
+    opts.normalize_rows = terms.normalize;
     const ReferenceFit ref = ReferenceLoop(d, ensemble, opts);
     for (double threshold : {kDenseStorage, kCsrStorage}) {
       opts.sparse_r_density_threshold = threshold;
@@ -445,6 +460,7 @@ TEST(RhchmeCore, TraceMatchesDenseReferenceLoop) {
             "lambda=" + std::to_string(terms.lambda) +
             " beta=" + std::to_string(terms.beta) +
             " robust=" + std::to_string(terms.robust) +
+            " normalize=" + std::to_string(terms.normalize) +
             " threshold=" + std::to_string(threshold) +
             " threads=" + std::to_string(threads);
         Result<RhchmeResult> fit = Rhchme(opts).FitWithEnsemble(d, ensemble);

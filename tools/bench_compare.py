@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Compare a bench_kernels JSON run against the committed baseline.
+"""Run bench_kernels under the gate's arguments and compare it against the committed baseline.
 
 Guards the perf trajectory in CI:
 
-  * refuses to accept a current JSON produced by a **debug** build —
+  * refuses to accept a run of a **debug** build —
     debug numbers are meaningless and silently poison the comparison;
   * fails (exit 1) when any kernel present in both files regressed by
     more than --threshold (default 25%) in real_time;
@@ -14,19 +14,27 @@ Guards the perf trajectory in CI:
   * benchmarks missing from either side are reported but never fatal,
     so adding or retiring kernels does not break CI.
 
+The gate's run context -- the kernel table, the benchmark filter,
+min_time and repetitions -- lives in GATE_ARGS below. The script runs
+the bench binary under it (in the binary's own directory, where it
+writes BENCH_kernels.json) and compares that file, so CI and the
+baseline recipe always measure the same kernels the same way.
+
 Usage:
-  python3 tools/bench_compare.py \
-      [--current build/BENCH_kernels.json] \
+  python3 tools/bench_compare.py [--bench build/bench_kernels] \
       [--baseline BENCH_kernels.baseline.json] \
       [--threshold 0.25] [--recall-threshold 0.02] [--allow-debug]
 
-Regenerating the baseline (Release build only; pin the kernel table so
-the committed context matches what CI dispatches; regenerate the whole
-file in one run on one host, never splice entries from another machine):
+Regenerating the baseline (Release build only; regenerate the whole file
+in one run on one host, never splice entries from another machine; the
+comparison printed by the run does not matter here):
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build build -j
-  (cd build && ./bench_kernels --force_isa=avx2 --benchmark_min_time=0.1 \
-       --benchmark_repetitions=5)
+  python3 tools/bench_compare.py
   cp build/BENCH_kernels.json BENCH_kernels.baseline.json
+Then run the gate against it at least five times, alternating with a
+binary built from the commit before; keep the new file only if that
+unchanged binary passes in most runs (a run in a fast moment of a shared
+host locks in medians that the same code cannot meet).
 
 A benchmark that appears several times (repetitions) is represented by
 the median of its real_time rows, so one lucky or unlucky repetition
@@ -40,8 +48,39 @@ comparison (or raise --threshold).
 
 import argparse
 import json
+import os
 import statistics
+import subprocess
 import sys
+
+# The gated kernels and how they are timed. --force_isa=avx2 pins the
+# dispatched table to the one the committed baseline is recorded with, so
+# the comparison never soft-skips on other hardware; five repetitions let
+# the gate compare each kernel's median instead of one short sample.
+GATE_FILTER = ("BM_GemmNN/(256|512)"
+               "|BM_(Dot|Axpy|SquaredDistance)(Simd|Scalar)/4096"
+               "|BM_EnsembleBuild/48|BM_SubspaceLearning/256"
+               "|BM_SparseSandwich/1024"
+               "|BM_SolverFit6(Dense|Csr|CsrTfidf)/(64|128)"
+               "|BM_KnnBuild(Exact|Descent)/(1024|4096)")
+GATE_ARGS = ["--force_isa=avx2", "--benchmark_filter=" + GATE_FILTER,
+             "--benchmark_min_time=0.05", "--benchmark_repetitions=5"]
+
+
+def run_gate(binary):
+    """Runs `binary` under GATE_ARGS in its own directory and returns the
+    path of the BENCH_kernels.json it writes there, or None on failure."""
+    binary = os.path.abspath(binary)
+    workdir = os.path.dirname(binary)
+    try:
+        proc = subprocess.run([binary] + GATE_ARGS, cwd=workdir)
+    except OSError as e:
+        print(f"error: cannot run {binary}: {e}")
+        return None
+    if proc.returncode != 0:
+        print(f"error: {binary} exited with status {proc.returncode}")
+        return None
+    return os.path.join(workdir, "BENCH_kernels.json")
 
 
 def load_benchmarks(path):
@@ -69,8 +108,9 @@ def load_benchmarks(path):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--current", default="build/BENCH_kernels.json",
-                        help="JSON produced by the run under test")
+    parser.add_argument("--bench", default="build/bench_kernels",
+                        help="bench_kernels binary to run under the gate's "
+                             "arguments")
     parser.add_argument("--baseline", default="BENCH_kernels.baseline.json",
                         help="committed reference JSON")
     parser.add_argument("--threshold", type=float, default=0.25,
@@ -80,7 +120,7 @@ def main():
                         help="absolute recall-counter drop that fails "
                              "(default 0.02)")
     parser.add_argument("--allow-debug", action="store_true",
-                        help="accept a debug-build current JSON (local "
+                        help="accept a run of a debug build (local "
                              "debugging only; CI must not pass this)")
     parser.add_argument("--allow-isa-mismatch", action="store_true",
                         help="compare runs even when current and baseline "
@@ -94,10 +134,13 @@ def main():
                              "and must never silently no-op")
     args = parser.parse_args()
 
+    current_path = run_gate(args.bench)
+    if current_path is None:
+        return 1
     try:
-        cur_ctx, current, cur_recall = load_benchmarks(args.current)
+        cur_ctx, current, cur_recall = load_benchmarks(current_path)
     except (OSError, ValueError) as e:
-        print(f"error: cannot read --current {args.current}: {e}")
+        print(f"error: cannot read {current_path}: {e}")
         return 1
     try:
         base_ctx, baseline, base_recall = load_benchmarks(args.baseline)
@@ -117,7 +160,7 @@ def main():
         build_key = "library_build_type"
     build_type = str(cur_ctx.get(build_key, "unknown")).lower()
     if build_type == "debug" and not args.allow_debug:
-        print(f"error: {args.current} was produced by a debug build "
+        print(f"error: {args.bench} is a debug build "
               f"(context.{build_key} = {build_type!r}); perf numbers "
               "from unoptimised binaries are meaningless. Re-run "
               "bench_kernels from a Release build (or pass --allow-debug "
